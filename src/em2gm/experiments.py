@@ -168,10 +168,14 @@ def fit_loglog_slope(x, y) -> tuple[float | None, float | None]:
 
     Points with nonpositive y are dropped (a zero mean loss carries no rate
     information). Returns (None, None) with fewer than two usable points and
-    (slope, None) with exactly two.
+    (slope, None) with exactly two. A non-finite x or y raises ValueError:
+    it marks a broken cell, which must not drop silently out of the fit.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        raise ValueError(f"non-finite x or y at points {bad.tolist()} of the log-log fit")
     keep = y > 0.0
     x, y = x[keep], y[keep]
     m = x.size

@@ -10,6 +10,13 @@ in the Euclidean norm. This module owns the ground truth (ModelSpec), the
 sampler (Dataset), the loss, the average log-likelihood and its gradient, and
 the chi-square divergence to the standard normal. The gradient and the EM map
 share one kernel so the identity em_map(theta) = theta + grad holds bitwise.
+
+Samples are stored feature-major: ``Dataset.samples`` is the (n, d) transpose
+view of a read-only, C-contiguous (d, n) block. Every EM step is two
+matrix-vector products over all n samples, and with each coordinate contiguous
+BLAS streams the block in long runs; on the row-major (n, d) layout the d >= 2
+step measured about twice as slow. At d = 1 the two layouts are the same
+memory, and the results are bit for bit those of the row-major code.
 """
 
 from __future__ import annotations
@@ -88,18 +95,34 @@ class Dataset:
 
     Immutable; regenerating with the same (spec, n, seed) is bit-identical.
     ``labels`` optionally retains the latent signs X for diagnostics.
+
+    ``samples`` has shape (n, d) but is stored feature-major: it is the
+    transpose view of a read-only, C-contiguous (d, n) array, so
+    ``samples.T`` is what the EM kernel streams (see the module docstring).
+    Samples given in any other layout, or writable, are copied once into this
+    form. ``mean_sq_norm`` is the constant (1/n) sum_i |y_i|^2 of the
+    log-likelihood, computed once here; the instance may be shared across
+    sweep threads, and nothing about it changes after construction.
     """
 
     samples: np.ndarray
     seed: int
     spec: ModelSpec
     labels: np.ndarray | None = None
+    mean_sq_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[0] < 1:
             raise ValueError("samples must be a nonempty n x d matrix")
         if self.samples.shape[1] != self.spec.d:
             raise ValueError("sample dimension does not match spec.d")
+        y = self.samples
+        if y.flags.writeable or not y.T.flags.c_contiguous:
+            yt = np.array(y.T, order="C")
+            yt.setflags(write=False)
+            y = yt.T
+            object.__setattr__(self, "samples", y)
+        object.__setattr__(self, "mean_sq_norm", float(np.mean(np.einsum("ij,ij->i", y, y))))
 
     @property
     def n(self) -> int:
@@ -114,17 +137,20 @@ def sample_dataset(spec: ModelSpec, n: int, seed: int, keep_labels: bool = False
     """Draw n iid samples from the mixture, deterministically in ``seed``.
 
     Row i consumes d+1 uniforms: one for the sign, d for the normal vector.
+    The normals are written straight into the feature-major (d, n) block, so
+    the values are those of the row-major recipe and no copy is made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_generator(seed)
     u = open_uniforms(rng, (n, spec.d + 1))
     signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
-    y = ndtri(u[:, 1:])
+    yt = np.empty((spec.d, n))
+    ndtri(u[:, 1:].T, out=yt)
     if spec.s != 0.0:
-        y += signs[:, None] * spec.theta_star[None, :]
-    y.setflags(write=False)
-    return Dataset(samples=y, seed=int(seed), spec=spec,
+        yt += spec.theta_star[:, None] * signs[None, :]
+    yt.setflags(write=False)
+    return Dataset(samples=yt.T, seed=int(seed), spec=spec,
                    labels=signs if keep_labels else None)
 
 
@@ -145,26 +171,28 @@ def logcosh(x):
 
 
 def _project(samples: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # <theta, y_i> for every row, written into ``out`` when given. numpy does
-    # not hand the d=1 product (n, 1) @ (1,) to BLAS but runs a per-row loop
-    # about ten times slower than an elementwise multiply. Each entry is a
-    # single product either way, so the bits agree; the one exception is the
-    # sign of a zero product at theta = 0, which tanh keeps and the sum over
-    # rows in _mean_y_tanh and iterate_em drops. The shape check keeps the
-    # error matmul raises for a theta of the wrong length, which theta[0]
-    # alone would pass over.
-    if theta.shape != (samples.shape[1],):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({samples.shape[1]},)")
-    if samples.shape[1] == 1:
-        return np.multiply(samples[:, 0], theta[0], out=out)
-    return np.matmul(samples, theta, out=out)
+    # <theta, y_i> for every sample, written into ``out`` when given: shape
+    # (n,) for one theta of shape (d,), (n, k) for k stacked thetas (k, d).
+    # At d >= 2 this is one BLAS product over the contiguous (d, n) block that
+    # Dataset stores. At d = 1 numpy would not hand (n, 1) @ (1,) to BLAS but
+    # run a per-row loop about ten times slower than an elementwise multiply;
+    # each entry is a single product either way, so the bits agree. The one
+    # exception is the sign of a zero product at theta = 0, which tanh keeps
+    # and the sum over rows drops. The shape check keeps the error matmul
+    # raises for a theta of the wrong length, which theta[..., 0] would pass.
+    d = samples.shape[1]
+    if theta.ndim not in (1, 2) or theta.shape[-1] != d:
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
+    if d == 1:
+        return np.multiply.outer(samples[:, 0], theta[..., 0], out=out)
+    return np.matmul(samples, theta.T, out=out)
 
 
 def _mean_y_tanh(samples: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # Shared kernel: (1/n) sum_i y_i tanh(<theta, y_i>). Both the EM map and
     # the likelihood gradient are thin wrappers, so their identity is bitwise.
     t = np.tanh(_project(samples, theta))
-    return (t @ samples) / samples.shape[0]
+    return (samples.T @ t) / samples.shape[0]
 
 
 def log_likelihood(data: Dataset, theta) -> float:
@@ -176,9 +204,9 @@ def log_likelihood(data: Dataset, theta) -> float:
         -|y|^2/2 - (d/2) log(2 pi) - |theta|^2/2 + logcosh(<theta, y>).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    y = data.samples
-    base = -0.5 * float(np.mean(np.einsum("ij,ij->i", y, y))) - 0.5 * data.d * _LOG_2PI
-    return base - 0.5 * float(theta @ theta) + float(np.mean(logcosh(_project(y, theta))))
+    base = -0.5 * data.mean_sq_norm - 0.5 * data.d * _LOG_2PI
+    z = _project(data.samples, theta)
+    return base - 0.5 * float(theta @ theta) + float(np.mean(logcosh(z)))
 
 
 def grad_log_likelihood(data: Dataset, theta) -> np.ndarray:

@@ -44,6 +44,15 @@ def test_fit_loglog_slope_drops_nonpositive_points():
     assert fit_loglog_slope([1.0, 10.0], [0.0, 0.0]) == (None, None)
 
 
+def test_fit_loglog_slope_rejects_nonfinite_points():
+    # a NaN mean loss marks a broken cell; the y > 0 filter must not hide it
+    for x, y in (([1.0, 10.0, 100.0], [1.0, math.nan, 0.01]),
+                 ([1.0, 10.0, 100.0], [1.0, math.inf, 0.01]),
+                 ([1.0, math.nan, 100.0], [1.0, 0.1, 0.01])):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_loglog_slope(x, y)
+
+
 def test_config_validation():
     init = InitSpec(kind="zero")
     with pytest.raises(ValueError):
@@ -121,6 +130,27 @@ def test_rate_sweep_deterministic_across_thread_counts(tmp_path):
         output_path=b_path, threads=4))
     assert a.rows == b.rows
     assert (tmp_path / "sweep.csv").read_bytes() == b_path.read_bytes()
+    # at d >= 2 every sweep thread calls BLAS at once
+    runs = [rate_sweep(ExperimentConfig.from_product(
+        [100, 400], [3], [1.0], replicates=3, init=InitSpec(kind="random_sphere"),
+        master_seed=99, output_path=tmp_path / f"d3_{threads}.csv", threads=threads))
+        for threads in (1, 4)]
+    assert runs[0].rows == runs[1].rows
+    assert (tmp_path / "d3_1.csv").read_bytes() == (tmp_path / "d3_4.csv").read_bytes()
+
+
+def test_risk_compare_deterministic_across_thread_counts(tmp_path):
+    runs = {}
+    for threads in (1, 2):
+        cfg = ExperimentConfig.from_product(
+            [300, 1000], [3], [0.3, 1.0], replicates=2, init=InitSpec(kind="random_sphere"),
+            master_seed=5, output_path=tmp_path / f"t{threads}" / "risk.csv", threads=threads)
+        cfg.output_path.parent.mkdir()
+        runs[threads] = risk_compare(cfg)
+    for est in ("em", "spectral", "zero"):
+        assert runs[1].results[est].rows == runs[2].results[est].rows
+    for name in ("risk_em.csv", "risk_spectral.csv", "risk_zero.csv", "risk.summary.json"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 def test_risk_compare_estimators(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from em2gm.model import (
     Dataset,
@@ -13,7 +14,7 @@ from em2gm.model import (
     loss,
     sample_dataset,
 )
-from em2gm.rng import derive_seed
+from em2gm.rng import derive_seed, make_generator, open_uniforms
 from em2gm.sample_em import em_map
 
 
@@ -77,6 +78,46 @@ def test_sample_dataset_labels_are_signs():
     z = data.samples[:, 0] - data.labels * 2.0
     assert abs(float(z.mean())) < 0.15
     assert abs(float(z.std()) - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("s,d", [(0.0, 1), (1.5, 1), (0.0, 3), (1.5, 3)])
+def test_sample_dataset_stores_feature_major_block(s, d):
+    spec = ModelSpec.along_axis(s, d)
+    data = sample_dataset(spec, 700, 13)
+    block = data.samples.T
+    assert block.shape == (d, 700)
+    assert block.flags.c_contiguous and not block.flags.writeable
+    # the values are those of the row-major recipe, bit for bit
+    u = open_uniforms(make_generator(13), (700, d + 1))
+    signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+    rows = ndtri(u[:, 1:]) + signs[:, None] * spec.theta_star if s else ndtri(u[:, 1:])
+    assert data.samples.tobytes() == rows.tobytes()
+
+
+def test_dataset_normalizes_other_layouts_once():
+    spec = ModelSpec.along_axis(1.0, 3)
+    rows = np.arange(12.0).reshape(4, 3)  # C-ordered and writable
+    data = Dataset(samples=rows, seed=0, spec=spec)
+    assert data.samples.T.flags.c_contiguous and not data.samples.T.flags.writeable
+    np.testing.assert_array_equal(data.samples, rows)
+    rows[0, 0] = 99.0  # the dataset holds its own copy
+    assert data.samples[0, 0] == 0.0
+    # an already normalized block is taken as it is
+    assert Dataset(samples=data.samples, seed=0, spec=spec).samples is data.samples
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_squared_norm_term_is_the_row_major_expression(d):
+    data = sample_dataset(ModelSpec.along_axis(1.0, d), 2000, 3)
+    rows = data.samples.copy(order="C")
+    sq = float(np.mean(np.einsum("ij,ij->i", rows, rows)))
+    assert data.mean_sq_norm == sq
+    theta = np.linspace(0.3, 0.7, d)
+    want = (-0.5 * sq - 0.5 * d * math.log(2 * math.pi)
+            - 0.5 * float(theta @ theta) + float(np.mean(logcosh(rows @ theta))))
+    assert log_likelihood(data, theta) == pytest.approx(want, rel=1e-15)
+    if d == 1:
+        assert log_likelihood(data, theta) == want
 
 
 def test_dataset_validates_dimension():

@@ -190,6 +190,42 @@ def test_wrong_length_theta_is_rejected_at_d1():
         em_map(data, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         iterate_em(data.samples, np.array([0.5, 0.5]), StopRule(max_iters=3))
+    with pytest.raises(ValueError):
+        em_map_batch(data.samples, np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        em_jacobian(data, np.array([0.5, 0.5]))
+
+
+def _em_map_batch_by_matmul(samples, thetas, row_block):
+    # Reference: the batch map with the inner products formed as chunk @ thetas.T.
+    n, d = samples.shape
+    k = thetas.shape[0]
+    block = max(1, min(n, row_block // k))
+    acc = np.zeros((k, d))
+    for lo in range(0, n, block):
+        chunk = samples[lo:lo + block]
+        acc += np.tanh(chunk @ thetas.T).T @ chunk
+    return acc / n
+
+
+def _em_jacobian_by_matmul(samples, theta):
+    # Reference: the Jacobian with the inner products formed as samples @ theta.
+    x = np.abs(samples @ theta)
+    e = np.exp(-x)
+    w = 2.0 * e / (1.0 + e * e)
+    w *= w
+    return (samples * w[:, None]).T @ samples / samples.shape[0]
+
+
+def test_batch_map_and_jacobian_1d_match_matmul_bitwise():
+    data = _data(s=1.0, d=1, n=5000, seed=43)
+    rows = data.samples.copy(order="C")
+    thetas = np.random.default_rng(43).normal(size=(8, 1))
+    for row_block in (2_000_000, 8000):  # one block, then chunks of 1000 rows
+        got = em_map_batch(data.samples, thetas, row_block=row_block)
+        assert got.tobytes() == _em_map_batch_by_matmul(rows, thetas, row_block).tobytes()
+    for theta in (np.array([0.0]), np.array([0.7]), np.array([-40.0])):
+        assert em_jacobian(data, theta).tobytes() == _em_jacobian_by_matmul(rows, theta).tobytes()
 
 
 def test_iterate_em_float32_stays_close():
