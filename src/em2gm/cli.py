@@ -24,12 +24,12 @@ import numpy as np
 
 from . import deviation as dev
 from . import experiments as exp
-from .initializers import InitSpec
+from .initializers import InitSpec, make_init
 from .model import ModelSpec, sample_dataset
 from .population import PopulationState, build_rule, invert_q, population_trajectory, sandwich_sequences
 from .rng import derive_seed
 from .sample_em import StopRule, run_em
-from .svg import write_line_chart
+from .svg import write_json, write_line_chart, write_table
 
 __all__ = ["main", "run", "CliError"]
 
@@ -59,21 +59,18 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+# scalar option type -> (conversion, JSON/flag value types it accepts)
+_SCALARS = {"int": (int, (int, str)), "float": (float, (int, float, str)), "str": (str, (str,))}
+
+
 def _coerce(name: str, typ: str, value):
     """Coerce a flag string or a JSON value to the option's type."""
     try:
-        if typ == "int":
-            if isinstance(value, bool) or (not isinstance(value, (int, str))):
+        if typ in _SCALARS:
+            convert, accepted = _SCALARS[typ]
+            if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError
-            return int(value)
-        if typ == "float":
-            if isinstance(value, bool) or (not isinstance(value, (int, float, str))):
-                raise ValueError
-            return float(value)
-        if typ == "str":
-            if not isinstance(value, str):
-                raise ValueError
-            return value
+            return convert(value)
         items = value.split(",") if isinstance(value, str) else list(value)
         if typ == "ints":
             return tuple(int(v) for v in items)
@@ -89,9 +86,35 @@ _COMMON = {
     "threads": _Opt("int", 0, "worker threads inside experiments; 0 = number of cores"),
 }
 
+# Initializer names; "fixed" is accepted only by commands that take --theta0.
+_INITS = ("random", "spectral", "fixed", "zero")
+_INITS_NO_FIXED = ("random", "spectral", "zero")
+_INIT_KINDS = {"random": "random_sphere", "random_sphere": "random_sphere",
+               "spectral": "spectral", "fixed": "fixed", "zero": "zero"}
+
+# Options several commands take: one type and help each, defaults per command.
+_SHARED = {
+    "d": ("int", "dimension"),
+    "s": ("float", "norm of the true center"),
+    "n": ("int", "sample size"),
+    "order": ("int", "quadrature order"),
+    "replicates": ("int", "Monte Carlo replicates per grid point"),
+    "dtype": ("str", "EM inner-loop dtype: float64|float32"),
+    "init": ("str", "initializer: " + "|".join(_INITS)),
+    "c0": ("float", "scale constant of the random-sphere initializer"),
+}
+
+
+def _opts(**defaults) -> dict[str, _Opt]:
+    return {name: _Opt(_SHARED[name][0], v, _SHARED[name][1]) for name, v in defaults.items()}
+
+
+# without --theta0 a fixed start cannot be expressed; default to the
+# random-sphere initializer instead
+_INIT_NO_FIXED = _Opt("str", "random", "initializer: " + "|".join(_INITS_NO_FIXED))
+
 _EM_OPTS = {
-    "init": _Opt("str", "fixed", "initializer: random|spectral|fixed|zero"),
-    "c0": _Opt("float", 1.0, "scale constant of the random-sphere initializer"),
+    **_opts(init="fixed", c0=1.0),
     "theta0": _Opt("vec", (1.0,), "comma-separated start vector for --init fixed"),
     "max_iters": _Opt("int", 0, "iteration cap; 0 = ceil(c_iter * sqrt(n))"),
     "c_iter": _Opt("float", 10.0, "budget constant in ceil(c_iter * sqrt(n))"),
@@ -99,83 +122,62 @@ _EM_OPTS = {
 }
 
 _SPECS: dict[str, dict[str, _Opt]] = {
-    "trajectory": {
-        "d": _Opt("int", 1, "dimension"),
-        "s": _Opt("float", 0.0, "norm of the true center (first axis)"),
-        "n": _Opt("int", 10_000, "sample size"),
-        **_EM_OPTS,
-        **_COMMON,
-    },
+    "trajectory": {**_opts(d=1, s=0.0, n=10_000), **_EM_OPTS, **_COMMON},
     "rate-sweep": {
-        "d": _Opt("int", 1, "dimension"),
-        "s": _Opt("float", 0.0, "norm of the true center"),
+        **_opts(d=1, s=0.0),
         "n_grid": _Opt("ints", (1_000, 10_000, 100_000), "sample sizes, comma-separated"),
-        "replicates": _Opt("int", 20, "Monte Carlo replicates per grid point"),
-        "dtype": _Opt("str", "float64", "EM inner-loop dtype: float64|float32"),
+        **_opts(replicates=20, dtype="float64"),
         **_EM_OPTS,
         **_COMMON,
     },
     "risk-compare": {
-        "d": _Opt("int", 10, "dimension"),
+        **_opts(d=10),
         "s_grid": _Opt("floats", (0.1, 0.3, 1.0), "center norms, comma-separated"),
-        "n": _Opt("int", 100_000, "sample size"),
-        "replicates": _Opt("int", 20, "Monte Carlo replicates per grid point"),
+        **_opts(n=100_000, replicates=20),
         "estimators": _Opt("str", "em,spectral,zero", "estimators to score"),
-        "dtype": _Opt("str", "float64", "EM inner-loop dtype: float64|float32"),
+        **_opts(dtype="float64"),
         **{k: v for k, v in _EM_OPTS.items() if k != "theta0"},
-        # no --theta0 here, so a fixed start cannot be expressed; default to
-        # the random-sphere initializer instead
-        "init": _Opt("str", "random", "initializer: random|spectral|zero"),
+        "init": _INIT_NO_FIXED,
         **_COMMON,
     },
     "population": {
         "alpha0": _Opt("float", 0.1, "initial signal coordinate"),
         "beta0": _Opt("float", 0.7, "initial orthogonal coordinate"),
-        "s": _Opt("float", 0.35, "norm of the true center"),
+        **_opts(s=0.35),
         "iters": _Opt("int", 60, "number of population steps"),
-        "order": _Opt("int", 80, "quadrature order"),
+        **_opts(order=80),
         **_COMMON,
     },
     "sandwich": {
         "theta0": _Opt("float", 0.5, "common start of both envelopes"),
-        "s": _Opt("float", 1.0, "norm of the true center"),
+        **_opts(s=1.0),
         "w": _Opt("float", 0.05, "relative perturbation of the envelopes"),
         "iters": _Opt("int", 200, "number of steps"),
-        "order": _Opt("int", 80, "quadrature order"),
+        **_opts(order=80),
         **_COMMON,
     },
     "deviation": {
-        "d": _Opt("int", 2, "dimension"),
-        "s": _Opt("float", 1.0, "norm of the true center"),
-        "n": _Opt("int", 100_000, "sample size"),
+        **_opts(d=2, s=1.0, n=100_000),
         "directions": _Opt("int", 32, "random probe directions"),
         "radii": _Opt("int", 24, "log-spaced probe radii"),
-        "order": _Opt("int", 80, "quadrature order"),
+        **_opts(order=80),
         **_COMMON,
     },
     "mle-probe": {
-        "d": _Opt("int", 2, "dimension"),
-        "s": _Opt("float", 1.0, "norm of the true center"),
-        "n": _Opt("int", 100_000, "sample size"),
+        **_opts(d=2, s=1.0, n=100_000),
         "burn_in": _Opt("int", 200, "steps before the observation window"),
         "extra": _Opt("int", 20, "length of the observation window"),
-        "init": _Opt("str", "random", "initializer: random|spectral|zero"),
-        "c0": _Opt("float", 1.0, "scale constant of the random-sphere initializer"),
+        "init": _INIT_NO_FIXED,
+        **_opts(c0=1.0),
         **_COMMON,
     },
-    "figure2": {
-        "order": _Opt("int", 80, "quadrature order"),
-        **_COMMON,
-    },
+    "figure2": {**_opts(order=80), **_COMMON},
     "sublinear": {
         "iters": _Opt("int", 10_000, "number of population steps"),
-        "order": _Opt("int", 80, "quadrature order"),
+        **_opts(order=80),
         **_COMMON,
     },
 }
-
-_INIT_KINDS = {"random": "random_sphere", "random_sphere": "random_sphere",
-               "spectral": "spectral", "fixed": "fixed", "zero": "zero"}
 
 
 def _build_parser() -> _Parser:
@@ -216,44 +218,48 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _init_spec(cfg: dict, d: int) -> InitSpec:
+def _init_spec(cfg: dict, d: int, seed: int = 0) -> InitSpec:
+    names = _INITS if "theta0" in cfg else _INITS_NO_FIXED
     kind = _INIT_KINDS.get(cfg["init"])
-    if kind is None:
-        raise CliError(f"unknown init '{cfg['init']}'; expected one of "
-                       "random, spectral, fixed, zero")
-    if kind == "fixed":
-        theta0 = cfg.get("theta0")
-        if theta0 is None:
-            raise CliError("--init fixed requires --theta0")
-        if len(theta0) != d:
-            raise CliError(f"--theta0 has length {len(theta0)}, expected d={d}")
-        return InitSpec(kind="fixed", fixed_value=tuple(theta0), c0=cfg["c0"])
-    return InitSpec(kind=kind, c0=cfg["c0"])
+    if kind not in {_INIT_KINDS[name] for name in names}:
+        raise CliError(f"unknown init '{cfg['init']}'; expected one of {', '.join(names)}")
+    if kind != "fixed":
+        return InitSpec(kind=kind, c0=cfg["c0"], seed=seed)
+    if len(cfg["theta0"]) != d:
+        raise CliError(f"--theta0 has length {len(cfg['theta0'])}, expected d={d}")
+    return InitSpec(kind="fixed", fixed_value=cfg["theta0"], c0=cfg["c0"], seed=seed)
 
 
-def _stop_rule(cfg: dict, n: int) -> StopRule:
-    if cfg["max_iters"] > 0:
-        return StopRule(max_iters=cfg["max_iters"], rel_tol=cfg["rel_tol"])
-    return StopRule.for_n(n, c_iter=cfg["c_iter"], rel_tol=cfg["rel_tol"])
-
-
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out"])
-    os.makedirs(out, exist_ok=True)
-    return out
+def _stop_rule(cfg: dict) -> StopRule | None:
+    """The --max-iters cap, or None for the budget ceil(c_iter * sqrt(n))."""
+    return StopRule(cfg["max_iters"], cfg["rel_tol"]) if cfg["max_iters"] > 0 else None
 
 
 def _threads(cfg: dict) -> int:
     return cfg["threads"] if cfg["threads"] > 0 else (os.cpu_count() or 1)
 
 
-def _cmd_trajectory(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _sweep_config(cfg: dict, n_grid, s_grid, path: Path) -> exp.ExperimentConfig:
+    return exp.ExperimentConfig.from_product(
+        n_grid, [cfg["d"]], s_grid,
+        replicates=cfg["replicates"], init=_init_spec(cfg, cfg["d"]),
+        master_seed=cfg["seed"], output_path=path, stop=_stop_rule(cfg),
+        rel_tol=cfg["rel_tol"], c_iter=cfg["c_iter"], dtype=cfg["dtype"],
+        threads=_threads(cfg))
+
+
+def _write_states(path: Path, states) -> None:
+    write_table(path, ("t", "alpha", "beta"), range(len(states)),
+                [st.alpha for st in states], [st.beta for st in states])
+
+
+def _cmd_trajectory(cfg: dict, out: Path) -> str:
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
     data = sample_dataset(spec, cfg["n"], cfg["seed"])
-    from .initializers import make_init
     theta0 = make_init(_init_spec(cfg, cfg["d"]), data, seed=derive_seed(cfg["seed"], 1))
-    traj = run_em(data, theta0, _stop_rule(cfg, cfg["n"]), spec, keep_iterates=True)
+    stop = _stop_rule(cfg) or StopRule.for_n(cfg["n"], c_iter=cfg["c_iter"],
+                                             rel_tol=cfg["rel_tol"])
+    traj = run_em(data, theta0, stop, spec, keep_iterates=True)
     path = out / "trajectory.csv"
     traj.to_csv(path)
     t = np.arange(len(traj))
@@ -263,17 +269,9 @@ def _cmd_trajectory(cfg: dict) -> str:
     return f"final_loss={_fmt(traj.loss[-1])} stop={traj.stop_reason.value} -> {path}"
 
 
-def _cmd_rate_sweep(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_rate_sweep(cfg: dict, out: Path) -> str:
     path = out / "rate_sweep.csv"
-    config = exp.ExperimentConfig.from_product(
-        cfg["n_grid"], [cfg["d"]], [cfg["s"]],
-        replicates=cfg["replicates"], init=_init_spec(cfg, cfg["d"]),
-        master_seed=cfg["seed"], output_path=path,
-        stop=(StopRule(cfg["max_iters"], cfg["rel_tol"]) if cfg["max_iters"] > 0 else None),
-        rel_tol=cfg["rel_tol"], c_iter=cfg["c_iter"], dtype=cfg["dtype"],
-        threads=_threads(cfg))
-    result = exp.rate_sweep(config)
+    result = exp.rate_sweep(_sweep_config(cfg, cfg["n_grid"], [cfg["s"]], path))
     summary = result.summaries[0]
     write_line_chart(out / "rate_sweep.svg", summary.n_values,
                      {"mean loss": summary.mean_loss},
@@ -283,17 +281,11 @@ def _cmd_rate_sweep(cfg: dict) -> str:
     return f"slope={slope} -> {path}"
 
 
-def _cmd_risk_compare(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_risk_compare(cfg: dict, out: Path) -> str:
     estimators = tuple(e.strip() for e in cfg["estimators"].split(",") if e.strip())
     path = out / "risk.csv"
-    config = exp.ExperimentConfig.from_product(
-        [cfg["n"]], [cfg["d"]], cfg["s_grid"],
-        replicates=cfg["replicates"], init=_init_spec(cfg, cfg["d"]),
-        master_seed=cfg["seed"], output_path=path,
-        rel_tol=cfg["rel_tol"], c_iter=cfg["c_iter"], dtype=cfg["dtype"],
-        threads=_threads(cfg))
-    comparison = exp.risk_compare(config, estimators)
+    comparison = exp.risk_compare(_sweep_config(cfg, [cfg["n"]], cfg["s_grid"], path),
+                                  estimators)
     losses = {name: [comparison.mean_loss(name, cfg["n"], cfg["d"], s) for s in cfg["s_grid"]]
               for name in estimators}
     write_line_chart(out / "risk.svg", cfg["s_grid"], losses,
@@ -303,16 +295,12 @@ def _cmd_risk_compare(cfg: dict) -> str:
     return f"mean_loss[{lead} first] {stats} -> {path}"
 
 
-def _cmd_population(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_population(cfg: dict, out: Path) -> str:
     rule = build_rule(cfg["order"])
     states = population_trajectory(PopulationState(cfg["alpha0"], cfg["beta0"]),
                                    cfg["s"], cfg["iters"], rule)
     path = out / "population.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,alpha,beta\n")
-        for t, st in enumerate(states):
-            fh.write(f"{t},{_fmt(st.alpha)},{_fmt(st.beta)}\n")
+    _write_states(path, states)
     write_line_chart(out / "population.svg", np.arange(len(states)),
                      {"alpha": [st.alpha for st in states],
                       "beta": [st.beta for st in states]},
@@ -320,15 +308,11 @@ def _cmd_population(cfg: dict) -> str:
     return f"final_alpha={_fmt(states[-1].alpha)} final_beta={_fmt(states[-1].beta)} -> {path}"
 
 
-def _cmd_sandwich(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_sandwich(cfg: dict, out: Path) -> str:
     rule = build_rule(cfg["order"])
     upper, lower = sandwich_sequences(cfg["theta0"], cfg["s"], cfg["w"], cfg["iters"], rule)
     path = out / "sandwich.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,lower,upper\n")
-        for t in range(len(upper)):
-            fh.write(f"{t},{_fmt(lower[t])},{_fmt(upper[t])}\n")
+    write_table(path, ("t", "lower", "upper"), range(len(upper)), lower, upper)
     write_line_chart(out / "sandwich.svg", np.arange(len(upper)),
                      {"upper": upper, "lower": lower},
                      title="sandwich envelopes", xlabel="t", ylabel="theta")
@@ -337,8 +321,7 @@ def _cmd_sandwich(cfg: dict) -> str:
             f"upper_limit={_fmt(lim_hi)} -> {path}")
 
 
-def _cmd_deviation(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_deviation(cfg: dict, out: Path) -> str:
     rule = build_rule(cfg["order"])
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
     data = sample_dataset(spec, cfg["n"], cfg["seed"])
@@ -350,12 +333,10 @@ def _cmd_deviation(cfg: dict) -> str:
     return f"sup_ratio={_fmt(probe.sup_ratio)} -> {path}"
 
 
-def _cmd_mle_probe(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_mle_probe(cfg: dict, out: Path) -> str:
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
     data = sample_dataset(spec, cfg["n"], cfg["seed"])
-    init = _init_spec({**cfg, "theta0": None}, cfg["d"])
-    init = InitSpec(kind=init.kind, c0=init.c0, seed=derive_seed(cfg["seed"], 1))
+    init = _init_spec(cfg, cfg["d"], seed=derive_seed(cfg["seed"], 1))
     probe = exp.mle_contraction_probe(data, spec, init, cfg["burn_in"], cfg["extra"])
     path = out / "mle_probe.csv"
     probe.to_csv(path)
@@ -363,23 +344,15 @@ def _cmd_mle_probe(cfg: dict) -> str:
     return f"max_ratio={max_r} window={probe.ratios.size} -> {path}"
 
 
-def _cmd_figure2(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_figure2(cfg: dict, out: Path) -> str:
     rule = build_rule(cfg["order"])
     result = exp.figure2_reproduction(rule)
-    for name, run in (("figure2_nonmonotone", result.non_monotone_run),
-                      ("figure2_monotone", result.monotone_run)):
-        with open(out / f"{name}.csv", "w", encoding="utf-8") as fh:
-            fh.write("t,alpha,beta\n")
-            for t, st in enumerate(run):
-                fh.write(f"{t},{_fmt(st.alpha)},{_fmt(st.beta)}\n")
-    flags = {"non_monotone_pass": result.non_monotone_pass,
-             "monotone_pass": result.monotone_pass,
-             "beta_decreasing_after_first": result.beta_decreasing_after_first}
+    _write_states(out / "figure2_nonmonotone.csv", result.non_monotone_run)
+    _write_states(out / "figure2_monotone.csv", result.monotone_run)
     path = out / "figure2_flags.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(flags, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"non_monotone_pass": result.non_monotone_pass,
+                      "monotone_pass": result.monotone_pass,
+                      "beta_decreasing_after_first": result.beta_decreasing_after_first})
     write_line_chart(out / "figure2.svg",
                      np.arange(len(result.non_monotone_run)),
                      {"alpha (0.1,0.7)": [st.alpha for st in result.non_monotone_run],
@@ -390,15 +363,11 @@ def _cmd_figure2(cfg: dict) -> str:
             f"monotone_pass={result.monotone_pass} -> {path}")
 
 
-def _cmd_sublinear(cfg: dict) -> str:
-    out = _out_dir(cfg)
+def _cmd_sublinear(cfg: dict, out: Path) -> str:
     rule = build_rule(cfg["order"])
     probe = exp.sublinear_rate_probe(rule, T=cfg["iters"])
     path = out / "sublinear.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,theta\n")
-        for t, v in enumerate(probe.thetas):
-            fh.write(f"{t},{_fmt(v)}\n")
+    write_table(path, ("t", "theta"), range(len(probe.thetas)), probe.thetas)
     t = np.arange(1, len(probe.thetas))
     write_line_chart(out / "sublinear.svg", t, {"theta_t": probe.thetas[1:]},
                      title="signal-free population decay", xlabel="t",
@@ -430,12 +399,11 @@ def main(argv=None) -> int:
             plan = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
             print(f"dry-run {args.command}: {plan}")
             return 0
-        print(_HANDLERS[args.command](cfg))
+        out = Path(cfg["out"])
+        os.makedirs(out, exist_ok=True)
+        print(_HANDLERS[args.command](cfg, out))
         return 0
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -25,9 +25,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .model import Dataset, ModelSpec
-from .population import F_pop, G_pop, QuadratureRule
+from .population import F_pop, G_pop, QuadratureRule, _phi
 from .rng import make_generator, standard_normals
 from .sample_em import em_map_batch
+from .svg import write_table
 
 __all__ = [
     "ProbeGrid",
@@ -39,13 +40,6 @@ __all__ = [
     "tanh_sup_ratio",
     "tanh_sup_grid_search",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _phi(x):
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
-
 
 @dataclass(frozen=True)
 class ProbeGrid:
@@ -97,10 +91,8 @@ class DeviationProbe:
     sup_ratio: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("direction_id,radius,ratio\n")
-            for i, r, q in zip(self.direction_ids, self.radii, self.ratios):
-                fh.write(f"{i},{r:.17g},{q:.17g}\n")
+        write_table(path, ("direction_id", "radius", "ratio"),
+                    self.direction_ids, self.radii, self.ratios)
 
 
 def population_map_ddim(theta, spec: ModelSpec, rule: QuadratureRule) -> np.ndarray:

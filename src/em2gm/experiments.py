@@ -11,7 +11,6 @@ order, never completion order.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +25,7 @@ from .model import Dataset, ModelSpec, log_likelihood, loss, sample_dataset
 from .population import PopulationState, QuadratureRule, f_pop, population_trajectory
 from .rng import derive_seed
 from .sample_em import StopRule, iterate_em, run_em
+from .svg import write_json, write_table
 
 __all__ = [
     "ExperimentConfig",
@@ -46,8 +46,6 @@ __all__ = [
 
 _STREAM_DATA = 0
 _STREAM_INIT = 1
-
-_CSV_HEADER = "n,d,s,replicate,final_loss,iters,final_loglik"
 
 _ESTIMATORS = ("em", "spectral", "zero")
 
@@ -149,18 +147,10 @@ class ExperimentResult:
     summaries: tuple[SlopeSummary, ...]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_CSV_HEADER + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.n},{r.d},{r.s:.17g},{r.replicate},"
-                    f"{r.final_loss:.17g},{r.iters},{r.final_loglik:.17g}\n"
-                )
+        write_table(path, Row._fields, *zip(*self.rows))
 
     def summary_to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([s.to_dict() for s in self.summaries], fh, indent=2)
-            fh.write("\n")
+        write_json(path, [s.to_dict() for s in self.summaries])
 
 
 def fit_loglog_slope(x, y) -> tuple[float | None, float | None]:
@@ -206,17 +196,31 @@ def _summarize(rows: list[Row]) -> tuple[SlopeSummary, ...]:
     return tuple(out)
 
 
-def _em_cell(config: ExperimentConfig, gi: int, k: int) -> Row:
+def _em_cell(config: ExperimentConfig, gi: int, k: int, estimators) -> tuple[Row, ...]:
+    """One replicate of one grid cell: a Row per estimator, all on one dataset.
+
+    "em" runs the full iteration from config.init and reports the stopped
+    iterate; "spectral" scores the spectral estimator itself; "zero" is the
+    trivial baseline whose loss is exactly s.
+    """
     n, d, s = config.grid[gi]
     spec = ModelSpec.along_axis(s, d)
     data = sample_dataset(spec, n, derive_seed(config.master_seed, gi, k, _STREAM_DATA))
-    theta0 = make_init(config.init, data,
-                       seed=derive_seed(config.master_seed, gi, k, _STREAM_INIT))
-    theta, iters = iterate_em(data.samples, theta0, config.stop_for(n),
-                              dtype=config.np_dtype)
-    return Row(n=n, d=d, s=spec.s, replicate=k,
-               final_loss=loss(theta, spec.theta_star), iters=iters,
-               final_loglik=log_likelihood(data, theta))
+    rows = []
+    for name in estimators:
+        if name == "em":
+            theta0 = make_init(config.init, data,
+                               seed=derive_seed(config.master_seed, gi, k, _STREAM_INIT))
+            theta, iters = iterate_em(data.samples, theta0, config.stop_for(n),
+                                      dtype=config.np_dtype)
+        elif name == "spectral":
+            theta, iters = spectral_init(data), 0
+        else:
+            theta, iters = np.zeros(d), 0
+        rows.append(Row(n=n, d=d, s=spec.s, replicate=k,
+                        final_loss=loss(theta, spec.theta_star), iters=iters,
+                        final_loglik=log_likelihood(data, theta)))
+    return tuple(rows)
 
 
 def _run_tasks(config: ExperimentConfig, cell) -> list:
@@ -238,7 +242,7 @@ def rate_sweep(config: ExperimentConfig) -> ExperimentResult:
     Writes the row CSV to config.output_path and the slope summary next to
     it as <stem>.summary.json when an output path is set.
     """
-    rows = _run_tasks(config, lambda gi, k: _em_cell(config, gi, k))
+    rows = _run_tasks(config, lambda gi, k: _em_cell(config, gi, k, ("em",))[0])
     result = ExperimentResult(rows=tuple(rows), summaries=_summarize(rows))
     if config.output_path is not None:
         path = Path(config.output_path)
@@ -262,13 +266,10 @@ class RiskComparison:
 
 
 def risk_compare(config: ExperimentConfig, estimators=("em", "spectral", "zero")) -> RiskComparison:
-    """Monte Carlo risk of each estimator on identical datasets.
+    """Monte Carlo risk of each estimator on identical datasets (see _em_cell).
 
-    "em" runs the full iteration from config.init and reports the stopped
-    iterate; "spectral" scores the spectral estimator itself; "zero" is the
-    trivial baseline whose loss is exactly s. Output files take the
-    estimator name as a suffix on config.output_path's stem, with a single
-    combined <stem>.summary.json.
+    Output files take the estimator name as a suffix on config.output_path's
+    stem, with a single combined <stem>.summary.json.
     """
     estimators = tuple(estimators)
     if not estimators:
@@ -279,40 +280,16 @@ def risk_compare(config: ExperimentConfig, estimators=("em", "spectral", "zero")
         if name not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; expected subset of {_ESTIMATORS}")
 
-    def cell(gi: int, k: int) -> dict[str, Row]:
-        n, d, s = config.grid[gi]
-        spec = ModelSpec.along_axis(s, d)
-        data = sample_dataset(spec, n, derive_seed(config.master_seed, gi, k, _STREAM_DATA))
-        out: dict[str, Row] = {}
-        for name in estimators:
-            if name == "em":
-                theta0 = make_init(config.init, data,
-                                   seed=derive_seed(config.master_seed, gi, k, _STREAM_INIT))
-                theta, iters = iterate_em(data.samples, theta0, config.stop_for(n),
-                                          dtype=config.np_dtype)
-            elif name == "spectral":
-                theta, iters = spectral_init(data), 0
-            else:
-                theta, iters = np.zeros(d), 0
-            out[name] = Row(n=n, d=d, s=spec.s, replicate=k,
-                            final_loss=loss(theta, spec.theta_star), iters=iters,
-                            final_loglik=log_likelihood(data, theta))
-        return out
-
-    cells = _run_tasks(config, cell)
-    results = {}
-    for name in estimators:
-        rows = [c[name] for c in cells]
-        results[name] = ExperimentResult(rows=tuple(rows), summaries=_summarize(rows))
+    cells = _run_tasks(config, lambda gi, k: _em_cell(config, gi, k, estimators))
+    results = {name: ExperimentResult(rows=rows, summaries=_summarize(rows))
+               for name, rows in zip(estimators, zip(*cells))}
     comparison = RiskComparison(results=results)
     if config.output_path is not None:
         path = Path(config.output_path)
         for name in estimators:
             results[name].to_csv(path.with_name(f"{path.stem}_{name}{path.suffix}"))
-        with open(_default_summary_path(path), "w", encoding="utf-8") as fh:
-            json.dump({name: [s.to_dict() for s in results[name].summaries]
-                       for name in estimators}, fh, indent=2)
-            fh.write("\n")
+        write_json(_default_summary_path(path),
+                   {name: [s.to_dict() for s in results[name].summaries] for name in estimators})
     return comparison
 
 
@@ -332,10 +309,7 @@ class ContractionProbe:
     c_hat: float | None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,ratio\n")
-            for t, r in enumerate(self.ratios):
-                fh.write(f"{t},{r:.17g}\n")
+        write_table(path, ("t", "ratio"), range(self.ratios.size), self.ratios)
 
 
 def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,

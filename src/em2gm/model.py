@@ -94,7 +94,6 @@ class Dataset:
     """n samples of Y = X theta_star + Z, X a fair sign, Z standard normal.
 
     Immutable; regenerating with the same (spec, n, seed) is bit-identical.
-    ``labels`` optionally retains the latent signs X for diagnostics.
 
     ``samples`` has shape (n, d) but is stored feature-major: it is the
     transpose view of a read-only, C-contiguous (d, n) array, so
@@ -108,7 +107,6 @@ class Dataset:
     samples: np.ndarray
     seed: int
     spec: ModelSpec
-    labels: np.ndarray | None = None
     mean_sq_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -133,7 +131,7 @@ class Dataset:
         return self.samples.shape[1]
 
 
-def sample_dataset(spec: ModelSpec, n: int, seed: int, keep_labels: bool = False) -> Dataset:
+def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
     """Draw n iid samples from the mixture, deterministically in ``seed``.
 
     Row i consumes d+1 uniforms: one for the sign, d for the normal vector.
@@ -150,8 +148,7 @@ def sample_dataset(spec: ModelSpec, n: int, seed: int, keep_labels: bool = False
     if spec.s != 0.0:
         yt += spec.theta_star[:, None] * signs[None, :]
     yt.setflags(write=False)
-    return Dataset(samples=yt.T, seed=int(seed), spec=spec,
-                   labels=signs if keep_labels else None)
+    return Dataset(samples=yt.T, seed=int(seed), spec=spec)
 
 
 def loss(theta_hat, theta) -> float:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, ModelSpec, _mean_y_tanh, _project, log_likelihood, loss
+from .svg import write_table
 
 __all__ = [
     "StopReason",
@@ -98,17 +99,10 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Columns t, alpha, beta, loss, loglik, plus theta_* when stored."""
-        d = self.iterates.shape[1] if self.iterates is not None else 0
-        header = "t,alpha,beta,loss,loglik" + "".join(f",theta_{j}" for j in range(d))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t in range(len(self)):
-                row = [str(t)] + [
-                    f"{v:.17g}" for v in (self.alpha[t], self.beta[t], self.loss[t], self.loglik[t])
-                ]
-                if d:
-                    row += [f"{v:.17g}" for v in self.iterates[t]]
-                fh.write(",".join(row) + "\n")
+        thetas = () if self.iterates is None else tuple(self.iterates.T)
+        write_table(path, ["t", "alpha", "beta", "loss", "loglik"]
+                    + [f"theta_{j}" for j in range(len(thetas))],
+                    range(len(self)), self.alpha, self.beta, self.loss, self.loglik, *thetas)
 
 
 def em_map(data: Dataset, theta) -> np.ndarray:

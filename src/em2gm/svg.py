@@ -1,19 +1,49 @@
-"""Minimal SVG line charts, no plotting dependency.
+"""Every output file the package writes: CSV tables, JSON and SVG charts.
 
-Just enough to eyeball a trajectory or a rate fit: polylines on a framed
-viewport, optional log axes, min/max tick labels, and a small legend. The
-output is deterministic, so chart files can be byte-compared across runs.
+All output is deterministic, so files can be byte-compared across runs.
+Tables print integers bare and every other value with 17 significant
+digits, so each float reads back exactly. The charts need no plotting
+dependency; they are just enough to eyeball a trajectory or a rate fit:
+polylines on a framed viewport, optional log axes, min/max tick labels, and
+a small legend.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
-__all__ = ["write_line_chart"]
+import numpy as np
+
+__all__ = ["write_table", "write_json", "write_line_chart"]
 
 _COLORS = ("#1f6fb4", "#c23b22", "#2e8b57", "#8a2be2", "#b8860b", "#444444")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 30, 44
+
+
+def write_table(path, header, *columns) -> None:
+    """Write a CSV file: one header line, then the columns side by side.
+
+    The format is chosen once per column: integer columns print bare, all
+    others as repr-exact floats ("%.17g"). With no rows only the header line
+    is written.
+    """
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        values = col.tolist()
+        cells.append(map(str, values) if col.dtype.kind in "iu"
+                     else [f"{x:.17g}" for x in values])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
+
+
+def write_json(path, obj) -> None:
+    """Write obj as indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _transform(v: float, log: bool) -> float | None:
@@ -67,6 +97,11 @@ def write_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
     def tick(v, log):
         return f"{10.0 ** v:.3g}" if log else f"{v:.3g}"
 
+    def text(x, y, size, body, anchor="middle", extra=""):
+        anchor = f'text-anchor="{anchor}" ' if anchor else ""
+        return (f'<text x="{x}" y="{y}" {anchor}font-family="sans-serif" '
+                f'font-size="{size}"{extra}>{body}</text>')
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -75,21 +110,14 @@ def write_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
         'fill="none" stroke="#999" stroke-width="1"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="13">{title}</text>')
-    parts.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="11">{xlabel}</text>')
-    parts.append(f'<text x="14" y="{(py0 + py1) / 2:.1f}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="11" '
-                 f'transform="rotate(-90 14 {(py0 + py1) / 2:.1f})">{ylabel}</text>')
-    parts.append(f'<text x="{px0}" y="{py0 + 16}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="10">{tick(x0, logx)}</text>')
-    parts.append(f'<text x="{px1}" y="{py0 + 16}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="10">{tick(x1, logx)}</text>')
-    parts.append(f'<text x="{px0 - 6}" y="{py0 + 3:.1f}" text-anchor="end" '
-                 f'font-family="sans-serif" font-size="10">{tick(y0, logy)}</text>')
-    parts.append(f'<text x="{px0 - 6}" y="{py1 + 3:.1f}" text-anchor="end" '
-                 f'font-family="sans-serif" font-size="10">{tick(y1, logy)}</text>')
+        parts.append(text(f"{width / 2:.1f}", 18, 13, title))
+    ymid = f"{(py0 + py1) / 2:.1f}"
+    parts += [text(f"{(px0 + px1) / 2:.1f}", height - 8, 11, xlabel),
+              text(14, ymid, 11, ylabel, extra=f' transform="rotate(-90 14 {ymid})"'),
+              text(px0, py0 + 16, 10, tick(x0, logx)),
+              text(px1, py0 + 16, 10, tick(x1, logx)),
+              text(px0 - 6, f"{py0 + 3:.1f}", 10, tick(y0, logy), anchor="end"),
+              text(px0 - 6, f"{py1 + 3:.1f}", 10, tick(y1, logy), anchor="end")]
 
     for i, (name, pts) in enumerate(clean.items()):
         color = _COLORS[i % len(_COLORS)]
@@ -100,8 +128,7 @@ def write_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
         ly = _MARGIN_T + 14 * i + 4
         parts.append(f'<line x1="{px1 - 88}" y1="{ly}" x2="{px1 - 70}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{px1 - 64}" y="{ly + 4}" font-family="sans-serif" '
-                     f'font-size="10">{name}</text>')
+        parts.append(text(px1 - 64, ly + 4, 10, name, anchor=""))
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

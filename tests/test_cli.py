@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from em2gm.cli import main
 
 
@@ -20,13 +22,35 @@ def test_trajectory_runs_and_reports(tmp_path, capsys):
     assert (tmp_path / "trajectory.svg").read_text().startswith("<svg")
 
 
-def test_trajectory_is_deterministic(tmp_path):
-    args = ["trajectory", "--d", "2", "--s", "1.0", "--n", "500", "--init", "random",
-            "--seed", "7"]
-    assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
-            == (tmp_path / "b" / "trajectory.csv").read_bytes())
+# Every command at a tiny size; the rate sweep runs on two threads.
+_TINY = {
+    "trajectory": ["--d", "2", "--s", "1.0", "--n", "500", "--init", "random"],
+    "rate-sweep": ["--d", "2", "--s", "0.5", "--n-grid", "100,400", "--replicates", "2",
+                   "--init", "random", "--threads", "2"],
+    "risk-compare": ["--d", "2", "--n", "300", "--s-grid", "0.5,1", "--replicates", "2",
+                     "--threads", "1"],
+    "population": ["--iters", "10"],
+    "sandwich": ["--iters", "20"],
+    "deviation": ["--d", "2", "--n", "500", "--directions", "3", "--radii", "4"],
+    "mle-probe": ["--d", "2", "--n", "2000", "--burn-in", "10", "--extra", "5"],
+    "figure2": [],
+    "sublinear": ["--iters", "200"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY))
+def test_command_is_byte_deterministic(tmp_path, capsys, command):
+    """Two runs at one seed write the same files, byte for byte, and print the same line."""
+    printed = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([command, *_TINY[command], "--seed", "7", "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out.replace(str(out), "<out>"))
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files and files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    assert printed[0] == printed[1]
 
 
 def test_dry_run_prints_plan_and_writes_nothing(tmp_path, capsys):
@@ -74,6 +98,15 @@ def test_bad_init_name_exits_one(tmp_path, capsys):
     assert main(["trajectory", "--init", "warm", "--n", "100",
                  "--out", str(tmp_path)]) == 1
     assert "unknown init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mle-probe", "risk-compare"])
+def test_init_fixed_is_unknown_without_theta0(tmp_path, capsys, command):
+    # neither command has --theta0, so "fixed" is not one of its initializers
+    assert main([command, "--init", "fixed", "--n", "100", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown init 'fixed'; expected one of random, spectral, zero" in err
+    assert "--theta0" not in err
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):
@@ -164,3 +197,13 @@ def test_risk_compare_command(tmp_path, capsys):
     assert (tmp_path / "risk_spectral.csv").exists()
     assert (tmp_path / "risk_zero.csv").exists()
     assert not (tmp_path / "risk_em.csv").exists()
+
+
+def test_risk_compare_honors_max_iters(tmp_path):
+    code = main(["risk-compare", "--d", "2", "--n", "400", "--s-grid", "0.5",
+                 "--replicates", "2", "--estimators", "em", "--max-iters", "3",
+                 "--rel-tol", "0", "--threads", "1", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "risk_em.csv").read_text().splitlines()
+    assert lines[0].split(",")[5] == "iters"
+    assert [line.split(",")[5] for line in lines[1:]] == ["3", "3"]

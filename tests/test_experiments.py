@@ -223,6 +223,10 @@ def test_mle_probe_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,ratio"
     assert lines[1] == "0,0.5"
+    # an empty window writes the header alone
+    empty = ContractionProbe(ratios=np.array([]), max_ratio=None, geo_mean=None, c_hat=None)
+    empty.to_csv(path)
+    assert path.read_text() == "t,ratio\n"
 
 
 def test_figure2_flags(rule):

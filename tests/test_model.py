@@ -65,17 +65,19 @@ def test_sample_dataset_shapes_and_immutability():
     data = sample_dataset(spec, 100, 0)
     assert data.samples.shape == (100, 2)
     assert data.n == 100 and data.d == 2
-    assert data.labels is None
     with pytest.raises(ValueError):
         data.samples[0, 0] = 0.0
 
 
 def test_sample_dataset_labels_are_signs():
     spec = ModelSpec.along_axis(2.0, 1)
-    data = sample_dataset(spec, 1000, 5, keep_labels=True)
-    assert set(np.unique(data.labels)) == {-1.0, 1.0}
+    data = sample_dataset(spec, 1000, 5)
+    # the latent signs, recomputed from the seed the way sample_dataset draws them
+    u = open_uniforms(make_generator(5), (1000, 2))
+    signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+    assert set(np.unique(signs)) == {-1.0, 1.0}
     # removing the signed center must leave standard normal residuals
-    z = data.samples[:, 0] - data.labels * 2.0
+    z = data.samples[:, 0] - signs * 2.0
     assert abs(float(z.mean())) < 0.15
     assert abs(float(z.std()) - 1.0) < 0.1
 

@@ -1,6 +1,9 @@
+import json
 import math
 
-from em2gm.svg import write_line_chart
+import numpy as np
+
+from em2gm.svg import write_json, write_line_chart, write_table
 
 
 def test_basic_chart_structure(tmp_path):
@@ -54,3 +57,29 @@ def test_per_series_legend_and_colors(tmp_path):
     text = path.read_text()
     assert ">alpha</text>" in text and ">beta</text>" in text
     assert text.count("<polyline") == 2
+
+
+def test_write_table_prints_integer_columns_bare(tmp_path):
+    path = tmp_path / "ints.csv"
+    big = 10 ** 17 + 1  # beyond 17 significant digits: only a bare integer is exact
+    write_table(path, ("i", "j", "x"), np.arange(3, dtype=np.int32),
+                np.array([7, 8, big]), [1.0, 2.0, 0.5])
+    assert path.read_text() == f"i,j,x\n0,7,1\n1,8,2\n2,{big},0.5\n"
+
+
+def test_write_table_floats_round_trip_exactly(tmp_path):
+    values = np.array([-0.0, math.nan, 1e-300, 0.1, 1.0 / 3.0, -math.inf, 5e-324,
+                       1.7976931348623157e308])
+    path = tmp_path / "floats.csv"
+    write_table(path, ("x",), values)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["x", "-0", "nan"] and lines[4] == "0.10000000000000001"
+    back = np.array([float(v) for v in lines[1:]])
+    assert back.tobytes() == values.tobytes()  # the sign of -0.0 included
+
+
+def test_write_json_is_indented_with_a_trailing_newline(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"a": [1, 0.5], "b": None})
+    text = path.read_text()
+    assert text == json.dumps({"a": [1, 0.5], "b": None}, indent=2) + "\n"
