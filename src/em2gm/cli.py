@@ -83,7 +83,8 @@ def _coerce(name: str, typ: str, value):
 _COMMON = {
     "seed": _Opt("int", 0, "master seed; every command is deterministic in it"),
     "out": _Opt("str", "out", "output directory, created if missing"),
-    "threads": _Opt("int", 0, "worker threads inside experiments; 0 = number of cores"),
+    "threads": _Opt("int", 0, "sweep worker threads, each running BLAS on one thread; "
+                    "0 = number of cores"),
 }
 
 # Initializer names; "fixed" is accepted only by commands that take --theta0.

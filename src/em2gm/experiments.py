@@ -6,14 +6,20 @@ average the final loss over replicates, and regress log mean loss on log n.
 Every replicate draws its seeds from a SeedSequence fan-out keyed by
 (master_seed, grid index, replicate, stream), so results are bit-identical
 across reruns and across any parallel schedule; rows are merged in task-key
-order, never completion order.
+order, never completion order. Every cell runs with numpy's BLAS on one
+thread, so ``threads`` sweep workers use that many cores and the bytes of a
+sweep do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -93,6 +99,8 @@ class ExperimentConfig:
     every cell. ``dtype`` selects the inner-loop precision of iterate_em;
     float32 is the documented fast path for the large worst-case sweeps,
     where the iteration noise sits far below the statistical error.
+    ``threads`` is the number of sweep workers; each runs BLAS on one
+    thread, so the sweep uses that many cores.
     """
 
     grid: tuple[tuple[int, int, float], ...]
@@ -223,13 +231,73 @@ def _em_cell(config: ExperimentConfig, gi: int, k: int, estimators) -> tuple[Row
     return tuple(rows)
 
 
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None.
+
+    dlsym on numpy's extension module also searches the libraries it links,
+    which reaches the bundled OpenBLAS; with no known symbol (another BLAS)
+    the thread count is left alone.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        try:
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+# The BLAS thread count is process-wide: when sweeps run at once from several
+# user threads, only the outermost sets it and restores it.
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with BLAS on one thread; restore the previous count after."""
+    global _blas_users, _blas_saved
+    with _blas_lock:
+        control = _blas_thread_control()
+        if control is not None and _blas_users == 0:
+            _blas_saved = control[0]()
+            control[1](1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if control is not None and _blas_users == 0:
+                control[1](_blas_saved)
+
+
 def _run_tasks(config: ExperimentConfig, cell) -> list:
+    """Every (grid index, replicate) cell in task order, BLAS on one thread.
+
+    Sweep workers on top of BLAS threads oversubscribe the cores, and a
+    threaded BLAS sums in an order that depends on its thread count.
+    """
     tasks = [(gi, k) for gi in range(len(config.grid)) for k in range(config.replicates)]
-    if config.threads == 1:
-        return [cell(gi, k) for gi, k in tasks]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        # map preserves task order, so the merge is schedule-independent
-        return list(pool.map(lambda t: cell(*t), tasks))
+    with _one_blas_thread():
+        if config.threads == 1:
+            return [cell(gi, k) for gi, k in tasks]
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            # map preserves task order, so the merge is schedule-independent
+            return list(pool.map(lambda t: cell(*t), tasks))
 
 
 def _default_summary_path(path: Path) -> Path:
@@ -320,12 +388,17 @@ def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,
     takes the final iterate as theta_inf, and reports the ratio sequence for
     t in the ``extra`` window. Once an iterate is within 1e-14 of theta_inf
     the ratio is no longer meaningful and the window is truncated; with a
-    fast-contracting run the window can come back empty.
+    fast-contracting run the window can come back empty. A start at 0 (kind
+    "zero", or a fixed start of all zeros) is rejected: 0 is a fixed point of
+    the sample EM map, so the run never moves and the window is always empty.
     """
     if spec is None:
         spec = data.spec
     if burn_in < 1 or extra < 1:
         raise ValueError("burn_in and extra must be >= 1")
+    if init.kind == "zero" or (init.fixed_value is not None and not any(init.fixed_value)):
+        raise ValueError("a zero start is a fixed point of the EM map; "
+                         "the contraction probe needs a nonzero start")
     scale = (data.d * math.log(data.n) ** 3 / data.n) ** 0.25
     if spec.s < scale:
         warnings.warn(

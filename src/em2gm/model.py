@@ -99,9 +99,10 @@ class Dataset:
     transpose view of a read-only, C-contiguous (d, n) array, so
     ``samples.T`` is what the EM kernel streams (see the module docstring).
     Samples given in any other layout, or writable, are copied once into this
-    form. ``mean_sq_norm`` is the constant (1/n) sum_i |y_i|^2 of the
-    log-likelihood, computed once here; the instance may be shared across
-    sweep threads, and nothing about it changes after construction.
+    form. Non-finite samples are rejected. ``mean_sq_norm`` is the constant
+    (1/n) sum_i |y_i|^2 of the log-likelihood, computed once here; the
+    instance may be shared across sweep threads, and nothing about it changes
+    after construction.
     """
 
     samples: np.ndarray
@@ -114,6 +115,8 @@ class Dataset:
             raise ValueError("samples must be a nonempty n x d matrix")
         if self.samples.shape[1] != self.spec.d:
             raise ValueError("sample dimension does not match spec.d")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples must be finite")
         y = self.samples
         if y.flags.writeable or not y.T.flags.c_contiguous:
             yt = np.array(y.T, order="C")

@@ -158,6 +158,15 @@ def test_mle_probe_command(tmp_path, capsys):
     assert (tmp_path / "mle_probe.csv").exists()
 
 
+def test_mle_probe_zero_init_exits_one(tmp_path, capsys):
+    # a zero start never moves, so the probe could only report an empty window
+    code = main(["mle-probe", "--d", "1", "--s", "3", "--n", "2000", "--burn-in", "60",
+                 "--init", "zero", "--seed", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert "fixed point" in capsys.readouterr().err
+    assert not (tmp_path / "mle_probe.csv").exists()
+
+
 def test_figure2_command(tmp_path, capsys):
     code = main(["figure2", "--out", str(tmp_path)])
     assert code == 0

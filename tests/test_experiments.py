@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from em2gm import experiments
 from em2gm.experiments import (
     ContractionProbe,
     ExperimentConfig,
@@ -153,6 +159,103 @@ def test_risk_compare_deterministic_across_thread_counts(tmp_path):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
+def _blas_control_or_skip():
+    control = experiments._blas_thread_control()
+    if control is None:
+        pytest.skip("no thread control found for numpy's BLAS")
+    return control
+
+
+def _d3_config(master_seed=3, **kw):
+    return ExperimentConfig.from_product([100, 400], [3], [1.0], replicates=2,
+                                         init=InitSpec(kind="random_sphere"),
+                                         master_seed=master_seed, **kw)
+
+
+def test_sweep_cells_run_blas_on_one_thread_and_restore_it(monkeypatch):
+    get, set_ = _blas_control_or_skip()
+    em_cell = experiments._em_cell
+    seen = []
+
+    def cell(config, gi, k, estimators):
+        seen.append(get())
+        if config.master_seed == 4 and (gi, k) == (1, 0):
+            raise RuntimeError("cell failed")
+        return em_cell(config, gi, k, estimators)
+
+    monkeypatch.setattr(experiments, "_em_cell", cell)
+    before = get()
+    try:
+        set_(2)
+        outer = get()
+        for threads in (1, 2):
+            rate_sweep(_d3_config(threads=threads))
+            assert get() == outer
+            with pytest.raises(RuntimeError, match="cell failed"):
+                risk_compare(_d3_config(master_seed=4, threads=threads))
+            assert get() == outer
+    finally:
+        set_(before)
+    assert seen and set(seen) == {1}
+
+
+def test_concurrent_sweeps_restore_blas_threads_once(monkeypatch):
+    # more sweeping user threads than cores, switching often: the count must
+    # read 1 in every cell and come back only after the last sweep ends
+    get, set_ = _blas_control_or_skip()
+    em_cell = experiments._em_cell
+    seen = []
+    monkeypatch.setattr(experiments, "_em_cell",
+                        lambda *args: seen.append(get()) or em_cell(*args))
+    before, interval = get(), sys.getswitchinterval()
+    try:
+        set_(2)
+        outer = get()
+        sys.setswitchinterval(1e-6)
+        rows = []
+        for _ in range(10):
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(rate_sweep, _d3_config(threads=2)) for _ in range(16)]
+                rows += [f.result(timeout=120).rows for f in futures]
+            assert get() == outer
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+    assert all(r == rows[0] for r in rows)
+    assert len(seen) == 10 * 16 * 4 and set(seen) == {1}
+
+
+def test_sweep_runs_without_blas_thread_control(monkeypatch):
+    expected = rate_sweep(_d3_config(threads=2)).rows
+    monkeypatch.setattr(experiments, "_blas_thread_control", lambda: None)
+    assert rate_sweep(_d3_config(threads=2)).rows == expected
+    assert rate_sweep(_d3_config(threads=1)).rows == expected
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at n=1e5, d=10 a threaded BLAS sums the EM matvecs in another order than
+    # one thread does (at n=2e4 OpenBLAS does not split them and both agree)
+    _blas_control_or_skip()
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs two cores for a threaded BLAS")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    src = str(Path(experiments.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    runs = {"blas-default": ({}, "1"), "blas-default-2-workers": ({}, "2"),
+            "blas-1": ({"OPENBLAS_NUM_THREADS": "1"}, "1")}
+    for name, (extra_env, threads) in runs.items():
+        subprocess.run([sys.executable, "-m", "em2gm.cli", "rate-sweep", "--d", "10",
+                        "--s", "1", "--n-grid", "100000", "--replicates", "2", "--c-iter", "1",
+                        "--init", "random", "--seed", "11", "--threads", threads,
+                        "--out", str(tmp_path / name)],
+                       env={**env, **extra_env}, check=True, capture_output=True, timeout=300)
+    for name in ("rate_sweep.csv", "rate_sweep.summary.json"):
+        want = (tmp_path / "blas-default" / name).read_bytes()
+        for run in runs:
+            assert (tmp_path / run / name).read_bytes() == want, (run, name)
+
+
 def test_risk_compare_estimators(tmp_path):
     cfg = ExperimentConfig.from_product(
         [500], [3], [1.0], replicates=5, init=InitSpec(kind="random_sphere"),
@@ -212,7 +315,16 @@ def test_mle_probe_warns_below_contraction_scale():
     spec = ModelSpec.along_axis(0.05, 2)
     data = sample_dataset(spec, 1_000, 65)
     with pytest.warns(UserWarning, match="contraction scale"):
-        mle_contraction_probe(data, spec, InitSpec(kind="zero"), burn_in=2, extra=2)
+        mle_contraction_probe(data, spec, InitSpec(kind="random_sphere"), burn_in=2, extra=2)
+
+
+def test_mle_probe_rejects_a_zero_start():
+    # 0 is a fixed point of the sample EM map: the window would always be empty
+    spec = ModelSpec.along_axis(3.0, 1)
+    data = sample_dataset(spec, 2_000, 2)
+    for init in (InitSpec(kind="zero"), InitSpec(kind="fixed", fixed_value=(0.0,))):
+        with pytest.raises(ValueError, match="fixed point"):
+            mle_contraction_probe(data, spec, init, burn_in=60, extra=20)
 
 
 def test_mle_probe_csv(tmp_path):

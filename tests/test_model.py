@@ -128,6 +128,15 @@ def test_dataset_validates_dimension():
         Dataset(samples=np.zeros((5, 3)), seed=0, spec=spec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dataset_rejects_nonfinite_samples(bad):
+    spec = ModelSpec.along_axis(1.0, 2)
+    rows = np.ones((5, 2))
+    rows[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(samples=rows, seed=0, spec=spec)
+
+
 def test_loss_symmetries():
     rng = np.random.default_rng(2)
     for _ in range(20):
