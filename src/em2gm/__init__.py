@@ -13,7 +13,6 @@ from .deviation import (
     default_probe_grid,
     population_map_ddim,
     relative_lipschitz_probe,
-    tanh_sup_grid_search,
     tanh_sup_ratio,
     w1_squared_empirical,
 )
@@ -52,7 +51,6 @@ from .population import (
     build_rule,
     default_rule,
     f_pop,
-    f_pop_com,
     invert_q,
     population_trajectory,
     q_pop,

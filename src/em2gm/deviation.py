@@ -38,7 +38,6 @@ __all__ = [
     "relative_lipschitz_probe",
     "w1_squared_empirical",
     "tanh_sup_ratio",
-    "tanh_sup_grid_search",
 ]
 
 @dataclass(frozen=True)
@@ -128,10 +127,8 @@ def relative_lipschitz_probe(data: Dataset, spec: ModelSpec, grid: ProbeGrid,
     k, m = grid.directions.shape[0], grid.radii.shape[0]
     fn = em_map_batch(data.samples, thetas)
     radii = np.tile(grid.radii, k)
-    gaps = np.empty(thetas.shape[0])
-    for j in range(thetas.shape[0]):
-        gaps[j] = np.linalg.norm(fn[j] - population_map_ddim(thetas[j], spec, rule))
-    ratios = gaps / radii
+    gaps = [np.linalg.norm(f - population_map_ddim(t, spec, rule)) for f, t in zip(fn, thetas)]
+    ratios = np.array(gaps) / radii
     return DeviationProbe(
         grid=thetas,
         direction_ids=np.repeat(np.arange(k), m),
@@ -209,24 +206,9 @@ def tanh_sup_ratio(x: float, y: float) -> float:
     """sup over theta of |x tanh(x theta) - y tanh(y theta)| / |theta|.
 
     The supremum equals |x^2 - y^2| exactly and is attained in the
-    theta -> 0 limit; this returns the closed form. The companion
-    tanh_sup_grid_search confirms it numerically.
+    theta -> 0 limit; this returns the closed form.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("x and y must be finite")
     return abs(x * x - y * y)
 
-
-def tanh_sup_grid_search(x: float, y: float) -> float:
-    """Numeric counterpart of tanh_sup_ratio over a wide theta grid.
-
-    The grid spans {+/- 10^k : k in [-6, 2]} plus a fine linear refinement,
-    so the search sees both the theta -> 0 limit and the saturated regime.
-    """
-    mags = np.concatenate([
-        np.power(10.0, np.linspace(-6.0, 2.0, 161)),
-        np.linspace(1e-3, 5.0, 2001)[1:],
-    ])
-    thetas = np.concatenate([mags, -mags])
-    num = np.abs(x * np.tanh(x * thetas) - y * np.tanh(y * thetas))
-    return float(np.max(num / np.abs(thetas)))

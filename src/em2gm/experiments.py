@@ -8,18 +8,16 @@ Every replicate draws its seeds from a SeedSequence fan-out keyed by
 across reruns and across any parallel schedule; rows are merged in task-key
 order, never completion order. Every cell runs with numpy's BLAS on one
 thread, so ``threads`` sweep workers use that many cores and the bytes of a
-sweep do not depend on the BLAS thread count either.
+sweep do not depend on the BLAS thread count either. The BLAS control is
+sample_em's, shared with the batch map behind the deviation probe, which uses
+all cores the same way; its bytes depend only on the seed and row_block.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +28,7 @@ from .initializers import InitSpec, make_init, spectral_init
 from .model import Dataset, ModelSpec, log_likelihood, loss, sample_dataset
 from .population import PopulationState, QuadratureRule, f_pop, population_trajectory
 from .rng import derive_seed
-from .sample_em import StopRule, iterate_em, run_em
+from .sample_em import StopRule, _one_blas_thread, iterate_em, run_em
 from .svg import write_json, write_table
 
 __all__ = [
@@ -231,60 +229,6 @@ def _em_cell(config: ExperimentConfig, gi: int, k: int, estimators) -> tuple[Row
     return tuple(rows)
 
 
-@functools.cache
-def _blas_thread_control():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None.
-
-    dlsym on numpy's extension module also searches the libraries it links,
-    which reaches the bundled OpenBLAS; with no known symbol (another BLAS)
-    the thread count is left alone.
-    """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
-        return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        try:
-            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
-    return None
-
-
-# The BLAS thread count is process-wide: when sweeps run at once from several
-# user threads, only the outermost sets it and restores it.
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved = 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with BLAS on one thread; restore the previous count after."""
-    global _blas_users, _blas_saved
-    with _blas_lock:
-        control = _blas_thread_control()
-        if control is not None and _blas_users == 0:
-            _blas_saved = control[0]()
-            control[1](1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if control is not None and _blas_users == 0:
-                control[1](_blas_saved)
-
-
 def _run_tasks(config: ExperimentConfig, cell) -> list:
     """Every (grid index, replicate) cell in task order, BLAS on one thread.
 
@@ -451,10 +395,8 @@ def figure2_reproduction(rule: QuadratureRule) -> Figure2Result:
     alpha_b = np.array([st.alpha for st in run_b])
     flag_a = bool(alpha_a.min() < alpha_a[0] and abs(alpha_a[-1] - s) < 1e-2)
     flag_b = bool(np.all(np.diff(alpha_b) >= -1e-9) and abs(alpha_b[-1] - s) < 1e-2)
-    beta_obs = True
-    for run in (run_a, run_b):
-        beta = np.array([st.beta for st in run])
-        beta_obs = beta_obs and bool(np.all(np.diff(beta[1:]) <= 1e-9))
+    beta_obs = all(bool(np.all(np.diff([st.beta for st in run[1:]]) <= 1e-9))
+                   for run in (run_a, run_b))
     return Figure2Result(non_monotone_run=run_a, monotone_run=run_b,
                          non_monotone_pass=flag_a, monotone_pass=flag_b,
                          beta_decreasing_after_first=beta_obs)

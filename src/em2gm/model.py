@@ -188,11 +188,17 @@ def _project(samples: np.ndarray, theta: np.ndarray, out: np.ndarray | None = No
     return np.matmul(samples, theta.T, out=out)
 
 
-def _mean_y_tanh(samples: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # Shared kernel: (1/n) sum_i y_i tanh(<theta, y_i>). Both the EM map and
-    # the likelihood gradient are thin wrappers, so their identity is bitwise.
-    t = np.tanh(_project(samples, theta))
-    return (samples.T @ t) / samples.shape[0]
+def _mean_y_tanh(samples: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # Shared kernel: (1/n) sum_i y_i tanh(z_i), for z = _project(samples,
+    # theta), which it overwrites with tanh(z). The EM map, the likelihood
+    # gradient and run_em all reduce through it, so their identities are bitwise.
+    return (samples.T @ np.tanh(z, out=z)) / samples.shape[0]
+
+
+def _log_likelihood_at(data: Dataset, theta: np.ndarray, z: np.ndarray) -> float:
+    # log_likelihood from the inner products z = _project(data.samples, theta)
+    base = -0.5 * data.mean_sq_norm - 0.5 * data.d * _LOG_2PI
+    return base - 0.5 * float(theta @ theta) + float(np.mean(logcosh(z)))
 
 
 def log_likelihood(data: Dataset, theta) -> float:
@@ -204,15 +210,13 @@ def log_likelihood(data: Dataset, theta) -> float:
         -|y|^2/2 - (d/2) log(2 pi) - |theta|^2/2 + logcosh(<theta, y>).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    base = -0.5 * data.mean_sq_norm - 0.5 * data.d * _LOG_2PI
-    z = _project(data.samples, theta)
-    return base - 0.5 * float(theta @ theta) + float(np.mean(logcosh(z)))
+    return _log_likelihood_at(data, theta, _project(data.samples, theta))
 
 
 def grad_log_likelihood(data: Dataset, theta) -> np.ndarray:
     """Gradient of the average log-likelihood: -theta + E_n[Y tanh<theta, Y>]."""
     theta = np.asarray(theta, dtype=np.float64)
-    return _mean_y_tanh(data.samples, theta) - theta
+    return _mean_y_tanh(data.samples, _project(data.samples, theta)) - theta
 
 
 def chi2_to_standard(theta) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "default_rule",
     "PopulationState",
     "f_pop",
-    "f_pop_com",
     "q_pop",
     "F_pop",
     "G_pop",
@@ -159,21 +158,6 @@ def f_pop(theta: float, s: float, rule: QuadratureRule) -> float:
     to well below 1e-10 for |theta|, s <= 10 at order >= 80.
     """
     return F_pop(theta, 0.0, s, rule)
-
-
-def f_pop_com(theta: float, s: float, rule: QuadratureRule) -> float:
-    """f(theta) by the change of measure E[h(V)] = E[h(Z) cosh(s Z)] e^{-s^2/2}.
-
-    Cross-check path only: the cosh reweighting overflows for large s and the
-    direct Hermite sum behind it loses accuracy once |theta| grows, so this
-    route is certified for |theta| <= 1.25 and s <= 3 (absolute error below
-    1e-8 there). Production evaluation goes through f_pop.
-    """
-    if s > 3.0:
-        raise ValueError("change-of-measure route is certified only for s <= 3")
-    z = rule._z
-    vals = z * np.tanh(float(theta) * z) * np.cosh(s * z)
-    return math.exp(-0.5 * s * s) * float(rule._wz @ vals)
 
 
 def q_pop(theta: float, s: float, rule: QuadratureRule) -> float:

@@ -47,13 +47,9 @@ def write_json(path, obj) -> None:
 
 
 def _transform(v: float, log: bool) -> float | None:
-    if not math.isfinite(v):
+    if not math.isfinite(v) or (log and v <= 0.0):
         return None
-    if log:
-        if v <= 0.0:
-            return None
-        return math.log10(v)
-    return v
+    return math.log10(v) if log else v
 
 
 def write_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",

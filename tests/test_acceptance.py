@@ -8,13 +8,14 @@ budget where one is stated. Everything is seeded; reruns are bit-identical.
 """
 
 import math
+import os
 import time
 
 import numpy as np
 
 from em2gm.deviation import (default_probe_grid, population_map_ddim,
-                             relative_lipschitz_probe, tanh_sup_grid_search,
-                             tanh_sup_ratio, w1_squared_empirical)
+                             relative_lipschitz_probe, tanh_sup_ratio,
+                             w1_squared_empirical)
 from em2gm.experiments import (ExperimentConfig, fit_loglog_slope,
                                figure2_reproduction, mle_contraction_probe,
                                rate_sweep, sublinear_rate_probe)
@@ -23,6 +24,10 @@ from em2gm.model import ModelSpec, log_likelihood, loss, sample_dataset
 from em2gm.population import F_pop, G_pop, f_pop, invert_q, q_pop, sandwich_sequences
 from em2gm.rng import derive_seed
 from em2gm.sample_em import StopRule, em_map, em_map_batch, run_em
+from oracles import tanh_sup_grid_search
+
+# sweep bytes do not depend on the thread count, so the rate criteria use every core
+_CORES = os.cpu_count() or 1
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -44,7 +49,7 @@ def test_criterion_02_worst_case_rate_quarter_power():
     config = ExperimentConfig.from_product(
         [1_000, 10_000, 100_000, 1_000_000], [1], [0.0], replicates=100,
         init=InitSpec(kind="fixed", fixed_value=(1.0,)), master_seed=20260819,
-        rel_tol=0.0, c_iter=0.25, dtype="float32", threads=1)
+        rel_tol=0.0, c_iter=0.25, dtype="float32", threads=_CORES)
     summary = rate_sweep(config).summaries[0]
     elapsed = time.perf_counter() - t0
     ok = abs(summary.slope + 0.25) <= 0.07 and elapsed < 120.0
@@ -57,7 +62,7 @@ def test_criterion_03_pointwise_rate_root_n():
     config = ExperimentConfig.from_product(
         [1_000, 10_000, 100_000, 1_000_000], [1], [1.0], replicates=100,
         init=InitSpec(kind="fixed", fixed_value=(1.0,)), master_seed=20260819,
-        threads=1)
+        threads=_CORES)
     summary = rate_sweep(config).summaries[0]
     elapsed = time.perf_counter() - t0
     ok = abs(summary.slope + 0.5) <= 0.07 and elapsed < 120.0
@@ -70,7 +75,7 @@ def test_criterion_04_high_dim_worst_case_rate():
     config = ExperimentConfig.from_product(
         [10_000, 100_000, 1_000_000], [10], [0.0], replicates=50,
         init=InitSpec(kind="random_sphere"), master_seed=20260819,
-        rel_tol=1e-6, c_iter=0.25, dtype="float32", threads=1)
+        rel_tol=1e-6, c_iter=0.25, dtype="float32", threads=_CORES)
     summary = rate_sweep(config).summaries[0]
     elapsed = time.perf_counter() - t0
     final_mean = summary.mean_loss[-1]

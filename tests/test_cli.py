@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from em2gm import sample_em
 from em2gm.cli import main
 
 
@@ -148,6 +153,26 @@ def test_deviation_command(tmp_path, capsys):
     lines = (tmp_path / "deviation.csv").read_text().splitlines()
     assert lines[0] == "direction_id,radius,ratio"
     assert len(lines) == 21
+
+
+def test_deviation_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at d=2, n=2e4 the batch map's reductions, run on a threaded BLAS, summed
+    # in an order that depended on its thread count
+    if sample_em._blas_thread_control() is None:
+        pytest.skip("no thread control found for numpy's BLAS")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs two cores for a threaded BLAS")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    src = str(Path(sample_em.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for name, extra_env in (("blas-default", {}), ("blas-1", {"OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run([sys.executable, "-m", "em2gm.cli", "deviation", "--d", "2", "--s", "1",
+                        "--n", "20000", "--directions", "16", "--radii", "12", "--seed", "3",
+                        "--out", str(tmp_path / name)],
+                       env={**env, **extra_env}, check=True, capture_output=True, timeout=300)
+    want = (tmp_path / "blas-default" / "deviation.csv").read_bytes()
+    assert (tmp_path / "blas-1" / "deviation.csv").read_bytes() == want
 
 
 def test_mle_probe_command(tmp_path, capsys):

@@ -10,7 +10,6 @@ from em2gm.deviation import (
     default_probe_grid,
     population_map_ddim,
     relative_lipschitz_probe,
-    tanh_sup_grid_search,
     tanh_sup_ratio,
     w1_squared_empirical,
 )
@@ -18,6 +17,7 @@ from em2gm.model import Dataset, ModelSpec, sample_dataset
 from em2gm.population import f_pop
 from em2gm.rng import derive_seed
 from em2gm.sample_em import em_map
+from oracles import tanh_sup_grid_search
 
 
 def _sq_cdf_ref(t, s):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from em2gm import experiments
+from em2gm import experiments, sample_em
 from em2gm.experiments import (
     ContractionProbe,
     ExperimentConfig,
@@ -160,7 +160,7 @@ def test_risk_compare_deterministic_across_thread_counts(tmp_path):
 
 
 def _blas_control_or_skip():
-    control = experiments._blas_thread_control()
+    control = sample_em._blas_thread_control()
     if control is None:
         pytest.skip("no thread control found for numpy's BLAS")
     return control
@@ -227,7 +227,7 @@ def test_concurrent_sweeps_restore_blas_threads_once(monkeypatch):
 
 def test_sweep_runs_without_blas_thread_control(monkeypatch):
     expected = rate_sweep(_d3_config(threads=2)).rows
-    monkeypatch.setattr(experiments, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(sample_em, "_blas_thread_control", lambda: None)
     assert rate_sweep(_d3_config(threads=2)).rows == expected
     assert rate_sweep(_d3_config(threads=1)).rows == expected
 

@@ -11,12 +11,12 @@ from em2gm.population import (
     QuadratureRule,
     build_rule,
     f_pop,
-    f_pop_com,
     invert_q,
     population_trajectory,
     q_pop,
     sandwich_sequences,
 )
+from oracles import f_pop_com
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -1,9 +1,16 @@
 import math
+import os
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from em2gm.model import Dataset, ModelSpec, grad_log_likelihood, sample_dataset
+from em2gm import sample_em
+from em2gm.model import (Dataset, ModelSpec, _project, grad_log_likelihood, log_likelihood,
+                         sample_dataset)
 from em2gm.rng import derive_seed
 from em2gm.sample_em import (
     StopReason,
@@ -295,3 +302,133 @@ def test_gradient_and_em_map_share_kernel():
         data = _data(d=theta.size, seed=31)
         assert np.all(em_map(data, theta) - theta - grad_log_likelihood(data, theta) == 0.0)
     data = _data(seed=31)
+
+
+def _em_map_batch_serial(samples, thetas, row_block):
+    # Reference: the single-threaded loop over the same blocks, BLAS on one
+    # thread, block sums added in block order.
+    n, d = samples.shape
+    k = thetas.shape[0]
+    block = max(1, min(n, row_block // k))
+    acc = np.zeros((k, d))
+    with sample_em._one_blas_thread():
+        for lo in range(0, n, block):
+            chunk = samples[lo:lo + block]
+            acc += np.tanh(_project(chunk, thetas)).T @ chunk
+    return acc / n
+
+
+def _batch_on(cores, samples, thetas, **kw):
+    with mock.patch.object(os, "cpu_count", return_value=cores):
+        return em_map_batch(samples, thetas, **kw)
+
+
+_batch_cases = st.tuples(st.integers(1, 4), st.integers(1, 4000), st.integers(1, 24),
+                         st.floats(0.0, 3.0), st.floats(1e-3, 20.0), st.integers(0, 2**32 - 1))
+
+
+def _batch_case(d, n, k, s, scale, seed):
+    data = sample_dataset(ModelSpec.along_axis(s, d), n, seed)
+    thetas = scale * np.random.default_rng(seed).normal(size=(k, d))
+    return data, thetas
+
+
+def test_tanh_is_odd_bitwise():
+    # the batch map is odd bit for bit because tanh is: checked over 1e7
+    # values from 1e-300 to 1e3 in magnitude, in blocks of 1e6
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        x = np.exp(rng.uniform(math.log(1e-300), math.log(1e3), size=1_000_000))
+        assert np.array_equal(np.tanh(-x), -np.tanh(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_batch_cases)
+def test_em_map_batch_is_odd(case):
+    data, thetas = _batch_case(*case)
+    got = em_map_batch(data.samples, thetas, row_block=4096)
+    assert np.array_equal(em_map_batch(data.samples, -thetas, row_block=4096), -got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_batch_cases)
+def test_em_map_batch_rows_match_em_map(case):
+    data, thetas = _batch_case(*case)
+    got = em_map_batch(data.samples, thetas, row_block=4096)
+    # either sum of n <= 4000 terms y_ij tanh(.) errs by at most n eps mean|y_j|
+    scale = 1e-12 * np.mean(np.abs(data.samples), axis=0)
+    for row, theta in zip(got, thetas):
+        assert np.all(np.abs(row - em_map(data, theta)) <= scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_batch_cases, st.integers(2, 20))
+def test_em_map_batch_bytes_do_not_depend_on_cores(case, blocks):
+    data, thetas = _batch_case(*case)
+    n, k = data.n, thetas.shape[0]
+    # about ``blocks`` blocks of rows, the last one short unless n divides
+    row_block = k * max(1, -(-n // blocks) + 1)
+    want = _em_map_batch_serial(data.samples, thetas, row_block).tobytes()
+    for cores in (1, 2, 3):
+        got = _batch_on(cores, data.samples, thetas, row_block=row_block)
+        assert got.tobytes() == want, cores
+
+
+def test_em_map_batch_default_block_is_a_mebibyte():
+    # the 131072-value default splits d=2, n=1e5, k=192 into 682-row blocks
+    data = _data(s=1.0, d=2, n=100_000, seed=61)
+    thetas = np.random.default_rng(61).normal(size=(192, 2))
+    want = _em_map_batch_serial(data.samples, thetas, 131_072)
+    assert em_map_batch(data.samples, thetas).tobytes() == want.tobytes()
+
+
+def test_em_map_batch_many_workers_switching_often():
+    # more workers than cores and a short switch interval: the buffers they
+    # share must never be handed to two blocks at once
+    data = _data(s=1.0, d=3, n=20_000, seed=62)
+    thetas = np.random.default_rng(62).normal(size=(16, 3))
+    want = _em_map_batch_serial(data.samples, thetas, 16 * 97).tobytes()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            assert _batch_on(8, data.samples, thetas, row_block=16 * 97).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_em_map_batch_runs_blas_on_one_thread_and_restores_it(monkeypatch):
+    control = sample_em._blas_thread_control()
+    if control is None:
+        pytest.skip("no thread control found for numpy's BLAS")
+    get, set_ = control
+    seen = []
+    monkeypatch.setattr(sample_em, "_project",
+                        lambda *a, **kw: seen.append(get()) or _project(*a, **kw))
+    data = _data(s=1.0, d=2, n=5000, seed=63)
+    before = get()
+    try:
+        set_(2)
+        _batch_on(3, data.samples, np.ones((4, 2)), row_block=400)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert len(seen) == 50 and set(seen) == {1}
+
+
+def test_em_map_batch_error_in_a_block_is_raised():
+    data = _data(s=1.0, d=1, n=5000, seed=64)
+    with pytest.raises(ValueError):
+        _batch_on(3, data.samples, np.ones((3, 2)), row_block=300)
+
+
+def test_run_em_projects_once_per_iterate(monkeypatch):
+    data = _data(s=1.0, d=2, n=2000, seed=65)
+    calls = []
+    monkeypatch.setattr(sample_em, "_project",
+                        lambda *a, **kw: calls.append(1) or _project(*a, **kw))
+    traj = run_em(data, np.array([0.5, 0.5]), StopRule(max_iters=30, rel_tol=0.0),
+                  keep_iterates=True)
+    assert len(calls) == len(traj) == 31
+    # the shared projection gives the same log-likelihood bits as a fresh one
+    assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
