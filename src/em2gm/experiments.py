@@ -128,6 +128,9 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
+        rel_tol = self.rel_tol if self.stop is None else self.stop.rel_tol
+        if self.dtype == "float32" and 0.0 < rel_tol < np.finfo(np.float32).eps:
+            raise ValueError(f"rel_tol={rel_tol:g} is below float32 eps 1.19e-07; use 0 or more")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 

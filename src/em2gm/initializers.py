@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
-from .rng import derive_seed, make_generator, standard_normals
+from .rng import make_generator, standard_normals
 
 __all__ = [
     "InitSpec",
@@ -25,9 +25,6 @@ __all__ = [
 ]
 
 _KINDS = ("random_sphere", "spectral", "fixed", "zero")
-
-# Stream tag separating the power-iteration start vector from the data draws.
-_SPECTRAL_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -77,47 +74,24 @@ def random_sphere_init(d: int, n: int, c0: float, seed: int) -> np.ndarray:
     return radius * (z / norm)
 
 
-def spectral_init(data: Dataset, eig_tol: float = 1e-10,
-                  max_iters: int = 10_000) -> np.ndarray:
+def spectral_init(data: Dataset) -> np.ndarray:
     """Spectral estimator sqrt((lambda - 1)_+) eta from the top eigenpair.
 
-    Power iteration on Sigma = (1/n) sum y_i y_i^T from a seed-derived start,
-    run until the eigenvalue estimate moves less than ``eig_tol`` and the
-    residual |Sigma v - lambda v| is within 1e-8 lambda. When the top of the
-    spectrum is nearly tied (weak signal: the gap is only order s^2, and the
-    sampling noise can shrink it arbitrarily) power iteration stalls, so at
-    the cap the pair is finished with an exact symmetric eigendecomposition
-    of the d x d matrix; the residual guarantee holds on every return path.
-    The clamp at lambda <= 1 returns the zero vector: the mixture adds s^2
-    to the top eigenvalue of the identity, so nothing above 1 means no
-    detectable signal. Sign of the output is arbitrary, as is the
+    The pair is the exact symmetric eigendecomposition (``np.linalg.eigh``)
+    of Sigma = (1/n) sum y_i y_i^T, a d x d matrix. Power iteration would
+    stall when the top of the spectrum is nearly tied, as at weak signal,
+    where the gap is only order s^2 and the sampling noise can shrink it
+    arbitrarily. The clamp at lambda <= 1 returns the zero vector: the
+    mixture adds s^2 to the top eigenvalue of the identity, so nothing above
+    1 means no detectable signal. Sign of the output is arbitrary, as is the
     parameter's.
     """
     S = data.samples
-    sigma = S.T @ S / data.n
-    rng = make_generator(derive_seed(data.seed, _SPECTRAL_STREAM))
-    v = standard_normals(rng, data.d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    lam_prev = math.inf
-    for _ in range(max_iters):
-        w = sigma @ v
-        lam = float(v @ w)
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            return np.zeros(data.d)  # all-zero data: lambda = 0, clamp below
-        resid = float(np.linalg.norm(w - lam * v))
-        if abs(lam - lam_prev) <= eig_tol and resid <= 1e-8 * max(lam, 1e-300):
-            break
-        lam_prev = lam
-        v = w / wnorm
-    else:
-        evals, evecs = np.linalg.eigh(sigma)
-        lam = float(evals[-1])
-        v = evecs[:, -1]
+    evals, evecs = np.linalg.eigh(S.T @ S / data.n)
+    lam = float(evals[-1])
     if lam <= 1.0:
         return np.zeros(data.d)
-    return math.sqrt(lam - 1.0) * v
+    return math.sqrt(lam - 1.0) * evecs[:, -1]
 
 
 def make_init(init: InitSpec, data: Dataset, seed: int | None = None) -> np.ndarray:

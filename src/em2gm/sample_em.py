@@ -12,15 +12,12 @@ EM never decreases. iterate_em is the stripped loop for large Monte Carlo
 sweeps; it records nothing and can run in float32, where tanh and the two
 matrix products dominate and the narrower dtype roughly doubles throughput.
 
-Every f_n evaluation here (em_map, em_map_batch, run_em, iterate_em and
-em_jacobian's weights) forms the inner products <theta, y_i> through
-model._project. At d=1 it multiplies elementwise instead of calling matmul:
-numpy runs the (n, 1) @ (1,) product through a per-row loop, not BLAS, at
-about ten times the cost, and at d=1 each inner product is a single multiply
-anyway, so the iterates are bit-for-bit those of the matmul. At d >= 2 both
-products of a step run over the samples stored feature-major, as the
-contiguous (d, n) block model.Dataset keeps, which measured twice as fast per
-step as the row-major (n, d) layout (n = 1e5, d = 10, two sweep threads).
+em_map, run_em and iterate_em evaluate f_n through model._f_n, one pass over
+column blocks of about 512 KiB of the feature-major samples, each projected,
+put through tanh and reduced while in L2, where three whole-array passes
+streamed the samples from L3 once they outgrew it. run_em takes each
+iterate's log-likelihood from the same pass. A dataset within one block gives
+the bytes of the unblocked sum; larger ones move in their last bits.
 
 em_map_batch, behind the deviation probe, works through blocks of rows on
 every core with BLAS on one thread and adds the block sums in block order, so
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, _log_likelihood_at, _mean_y_tanh, _project, loss
+from .model import Dataset, ModelSpec, _f_n, _log_likelihood_from, _project, loss
 from .svg import write_table
 
 __all__ = [
@@ -118,8 +115,7 @@ class Trajectory:
 
 def em_map(data: Dataset, theta) -> np.ndarray:
     """One EM step: f_n(theta) = (1/n) sum_i y_i tanh(<theta, y_i>)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return _mean_y_tanh(data.samples, _project(data.samples, theta))
+    return _f_n(data.samples, np.asarray(theta, dtype=np.float64))[0]
 
 
 @functools.cache
@@ -188,6 +184,8 @@ def em_map_batch(samples: np.ndarray, thetas: np.ndarray,
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     n, d = samples.shape
+    if n == 0:
+        raise ValueError("samples has no rows")
     k = thetas.shape[0]
     block = max(1, min(n, row_block // max(k, 1)))
     starts = range(0, n, block)
@@ -237,7 +235,7 @@ def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
     alphas, betas, losses, logliks = [], [], [], []
     iterates = [] if keep_iterates else None
 
-    def record(th, z):
+    def record(th, logcosh_sum):
         if eta is None:
             a, b = 0.0, float(np.linalg.norm(th))
         else:
@@ -246,26 +244,24 @@ def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
         alphas.append(a)
         betas.append(b)
         losses.append(loss(th, spec.theta_star))
-        logliks.append(_log_likelihood_at(data, th, z))
+        logliks.append(_log_likelihood_from(data, th, logcosh_sum))
         if iterates is not None:
             iterates.append(th.copy())
 
-    # one projection per iterate feeds both its log-likelihood and its EM step
-    z = _project(data.samples, theta)
-    record(theta, z)
+    # one pass over the samples per iterate gives its log-likelihood and its EM step
+    nxt, logcosh_sum = _f_n(data.samples, theta, with_logcosh=True)
+    record(theta, logcosh_sum)
     reason = StopReason.MAX_ITERS
     for _ in range(stop.max_iters):
-        nxt = _mean_y_tanh(data.samples, z)
         if not np.all(np.isfinite(nxt)):
             reason = StopReason.DIVERGED
             break
-        z = _project(data.samples, nxt)
-        record(nxt, z)
+        following, logcosh_sum = _f_n(data.samples, nxt, with_logcosh=True)
+        record(nxt, logcosh_sum)
         if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
-            theta = nxt
             reason = StopReason.REL_CHANGE
             break
-        theta = nxt
+        theta, nxt = nxt, following
 
     return Trajectory(
         alpha=np.array(alphas),
@@ -286,21 +282,18 @@ def iterate_em(samples: np.ndarray, theta0, stop: StopRule,
     tanh/matmul inner loop; the returned iterate is cast back to float64.
     The samples are used feature-major, as the contiguous (d, n) block
     S.T: for a Dataset's samples in float64 that is the stored block itself,
-    with no copy, and any other layout or dtype is copied once. At d >= 2
-    the step is then twice as fast as on row-major samples, and the
-    reduction S.T @ z is the one run_em uses, so the float64 iterates agree
-    bitwise. The inner products go into one buffer reused across steps; at
-    d=1 they are an elementwise product (see the module docstring), with the
-    same bits as S @ theta and about a fifth of the time per step at n = 1e6.
+    with no copy, and any other layout or dtype is copied once. Each step is
+    one pass of model._f_n, the kernel run_em uses, so the float64 iterates
+    agree bitwise. A non-finite iterate raises ValueError naming its step.
     """
+    if samples.shape[0] == 0:
+        raise ValueError("samples has no rows")
     S = np.ascontiguousarray(samples.T, dtype=dtype).T
     theta = np.asarray(theta0, dtype=dtype).copy()
-    n = S.shape[0]
-    z = np.empty(n, dtype=dtype)
     for t in range(1, stop.max_iters + 1):
-        _project(S, theta, out=z)
-        np.tanh(z, out=z)
-        nxt = (S.T @ z) / n
+        nxt = _f_n(S, theta)[0]
+        if not np.all(np.isfinite(nxt)):
+            raise ValueError(f"EM iterate is not finite at step {t}")
         if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
             return nxt.astype(np.float64), t
         theta = nxt

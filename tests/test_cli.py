@@ -222,6 +222,15 @@ def test_rate_sweep_command(tmp_path, capsys):
     assert (tmp_path / "rate_sweep.svg").exists()
 
 
+def test_float32_rate_sweep_at_default_rel_tol_exits_one(tmp_path, capsys):
+    argv = ["rate-sweep", "--d", "1", "--n-grid", "200,800", "--dtype", "float32",
+            "--threads", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "below float32 eps" in capsys.readouterr().err
+    assert not (tmp_path / "rate_sweep.csv").exists()
+    assert main(argv + ["--rel-tol", "0"]) == 0
+
+
 def test_risk_compare_command(tmp_path, capsys):
     code = main(["risk-compare", "--d", "2", "--n", "400", "--s-grid", "0.5,1.0",
                  "--replicates", "2", "--estimators", "spectral,zero",

@@ -79,6 +79,18 @@ def test_config_validation():
                          threads=0)
 
 
+def test_config_rejects_float32_rel_tol_below_eps():
+    kw = dict(grid=((10, 1, 1.0),), replicates=1, init=InitSpec(kind="zero"), master_seed=0,
+              dtype="float32")
+    for bad in ({"rel_tol": 1e-8}, {"rel_tol": 1e-7}, {"stop": StopRule(5, rel_tol=1e-9)}):
+        with pytest.raises(ValueError, match="float32 eps"):
+            ExperimentConfig(**kw, **bad)
+    # 0 (run the full budget) and tolerances at or above eps stay allowed
+    for ok in ({"rel_tol": 0.0}, {"rel_tol": 1e-6}, {"stop": StopRule(5, rel_tol=0.0)}):
+        assert ExperimentConfig(**kw, **ok).dtype == "float32"
+    assert ExperimentConfig(**{**kw, "dtype": "float64"}, rel_tol=1e-8).rel_tol == 1e-8
+
+
 def test_config_grid_ordering_and_stop():
     cfg = ExperimentConfig.from_product([10, 20], [1, 2], [0.5, 1.0], replicates=1,
                                         init=InitSpec(kind="zero"), master_seed=0,

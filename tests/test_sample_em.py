@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from em2gm import sample_em
-from em2gm.model import (Dataset, ModelSpec, _project, grad_log_likelihood, log_likelihood,
-                         sample_dataset)
+from em2gm import model, sample_em
+from em2gm.model import (Dataset, ModelSpec, _f_n, _project, grad_log_likelihood,
+                         log_likelihood, sample_dataset)
 from em2gm.rng import derive_seed
 from em2gm.sample_em import (
     StopReason,
@@ -425,10 +425,101 @@ def test_em_map_batch_error_in_a_block_is_raised():
 def test_run_em_projects_once_per_iterate(monkeypatch):
     data = _data(s=1.0, d=2, n=2000, seed=65)
     calls = []
-    monkeypatch.setattr(sample_em, "_project",
-                        lambda *a, **kw: calls.append(1) or _project(*a, **kw))
+    monkeypatch.setattr(sample_em, "_f_n", lambda *a, **kw: calls.append(1) or _f_n(*a, **kw))
     traj = run_em(data, np.array([0.5, 0.5]), StopRule(max_iters=30, rel_tol=0.0),
                   keep_iterates=True)
     assert len(calls) == len(traj) == 31
-    # the shared projection gives the same log-likelihood bits as a fresh one
+    # the shared pass gives the same log-likelihood bits as a fresh one
     assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
+
+
+def _block(d, dtype=np.float64):
+    return model._BLOCK_BYTES // (d * np.dtype(dtype).itemsize)
+
+
+def _many_block_data(d, s=1.0, seed=70):
+    # three full column blocks of float64 samples and a ragged fourth
+    return _data(s=s, d=d, n=3 * _block(d) + 777, seed=seed)
+
+
+def test_block_is_half_a_mebibyte_of_samples(monkeypatch):
+    assert model._BLOCK_BYTES == 512 * 1024
+    assert (_block(1, np.float32), _block(1), _block(10)) == (131_072, 65_536, 6_553)
+    data = _many_block_data(1)
+    sizes = []
+    monkeypatch.setattr(model, "_project",
+                        lambda y, *a, **kw: sizes.append(y.shape[0]) or _project(y, *a, **kw))
+    em_map(data, np.array([0.5]))
+    assert sizes == [65_536] * 3 + [777]
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_many_blocks_keep_the_bitwise_identities(d):
+    data = _many_block_data(d)
+    theta0 = np.linspace(0.8, -0.2, d)
+    stop = StopRule(max_iters=40, rel_tol=1e-9)
+    traj = run_em(data, theta0, stop, keep_iterates=True)
+    theta, iters = iterate_em(data.samples, theta0, stop)
+    assert theta.tobytes() == traj.iterates[-1].tobytes()
+    assert iters == len(traj) - 1
+    assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
+    for th in traj.iterates[::7]:
+        assert np.all(em_map(data, th) - th - grad_log_likelihood(data, th) == 0.0)
+
+
+def _iterate_em_by_blocks(samples, theta0, stop, dtype):
+    # Reference loop: the feature-major samples in column blocks, inner
+    # products by matmul, block sums added in block order from the first.
+    yt = np.ascontiguousarray(samples.T, dtype=dtype)
+    d, n = yt.shape
+    block = _block(d, dtype)
+    theta = np.asarray(theta0, dtype=dtype).copy()
+    for t in range(1, stop.max_iters + 1):
+        sums = [yt[:, lo:lo + block] @ np.tanh(yt[:, lo:lo + block].T @ theta)
+                for lo in range(0, n, block)]
+        nxt = sum(sums[1:], sums[0]) / n
+        if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
+            return nxt.astype(np.float64), t
+        theta = nxt
+    return theta.astype(np.float64), stop.max_iters
+
+
+@pytest.mark.parametrize("d, dtype", [(1, np.float32), (1, np.float64), (3, np.float64)])
+def test_iterate_em_matches_blocked_reference_loop_bitwise(d, dtype):
+    data = _data(s=0.0 if d == 1 else 0.5, d=d, n=3 * _block(d, dtype) + 777, seed=71)
+    for theta0, stop in ((np.full(d, 1.0), StopRule(max_iters=12, rel_tol=0.0)),
+                         (np.zeros(d), StopRule(max_iters=3, rel_tol=0.0))):
+        got = iterate_em(data.samples, theta0, stop, dtype=dtype)
+        want = _iterate_em_by_blocks(data.samples, theta0, stop, dtype)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 300_000), st.floats(0.0, 2.0), st.floats(0.0, 5.0),
+       st.integers(0, 2**32 - 1))
+def test_f_n_matches_one_shot_float64_means(d, n, s, scale, seed):
+    data = sample_dataset(ModelSpec.along_axis(s, d), n, seed)
+    theta = scale * np.random.default_rng(seed).normal(size=d)
+    y = np.array(data.samples, order="C")
+    want = np.mean(y * np.tanh(y @ theta)[:, None], axis=0)
+    got, logcosh_sum = _f_n(data.samples, theta, with_logcosh=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.mean(np.abs(y), axis=0))
+    # the sum run_em and log_likelihood take from the same pass, all n terms
+    terms = model.logcosh(y @ theta)
+    assert abs(logcosh_sum / n - np.mean(terms)) <= 1e-12 * np.mean(np.abs(terms))
+    assert np.array_equal(_f_n(data.samples, theta)[0], got)
+
+
+def test_empty_samples_are_rejected_by_name():
+    with pytest.raises(ValueError, match="samples"):
+        iterate_em(np.empty((0, 2)), np.ones(2), StopRule(max_iters=3))
+    with pytest.raises(ValueError, match="samples"):
+        em_map_batch(np.empty((0, 2)), np.ones((3, 2)))
+
+
+def test_iterate_em_names_the_first_nonfinite_step():
+    samples = np.array([[1.0], [-2.0], [np.inf]])
+    with pytest.raises(ValueError, match="step 1"):
+        iterate_em(samples, np.array([0.5]), StopRule(max_iters=10, rel_tol=0.0))
+    with pytest.raises(ValueError, match="step 1"):
+        iterate_em(samples[:2], np.array([np.nan]), StopRule(max_iters=10, rel_tol=0.0))
