@@ -216,6 +216,9 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
         value = getattr(args, name)
         if value is not _UNSET:
             resolved[name] = _coerce(name, opt.typ, value)
+    for name in ("threads", "max_iters"):  # 0 picks the default; below 0 is a typo
+        if resolved.get(name, 0) < 0:
+            raise CliError(f"--{name.replace('_', '-')} must be >= 0, got {resolved[name]}")
     return resolved
 
 

@@ -9,13 +9,13 @@ global sign flip, so estimation error is always measured by
 in the Euclidean norm. This module owns the ground truth (ModelSpec), the
 sampler (Dataset), the loss, the average log-likelihood and its gradient, and
 the chi-square divergence to the standard normal. The likelihood, its gradient
-and the EM map share one kernel, _f_n, so em_map = theta + grad holds bitwise.
+and the EM map share one kernel, _kernel, so em_map = theta + grad holds bitwise.
 
 Samples are stored feature-major: ``Dataset.samples`` is the (n, d) transpose
-view of a read-only, C-contiguous (d, n) block, which _f_n walks in column
-blocks of about 512 KiB: each is projected, put through tanh and reduced while
-it sits in a core's L2 cache. On the row-major (n, d) layout the d >= 2 step
-measured about twice as slow; at d = 1 the two layouts are the same memory.
+view of a read-only, C-contiguous (d, n) block, which the kernel walks in
+column blocks of 512 KiB at d = 1 and 1 MiB at d >= 2, set up once per EM run:
+each is projected, put through tanh and reduced while it sits in L2. The
+row-major (n, d) layout measured about twice as slow at d >= 2.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
     signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
     yt = np.empty((spec.d, n))
     ndtri(u[:, 1:].T, out=yt)
-    if spec.s != 0.0:
-        yt += spec.theta_star[:, None] * signs[None, :]
+    for j in np.flatnonzero(spec.theta_star):  # no normal is +-0: skipping zeros keeps the bits
+        yt[j] += spec.theta_star[j] * signs
     yt.setflags(write=False)
     return Dataset(samples=yt.T, seed=int(seed), spec=spec)
 
@@ -171,14 +171,12 @@ def logcosh(x):
 
 def _project(samples: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # <theta, y_i> for every sample, written into ``out`` when given: shape
-    # (n,) for one theta of shape (d,), (n, k) for k stacked thetas (k, d).
-    # At d >= 2 this is one BLAS product over the contiguous (d, n) block that
-    # Dataset stores. At d = 1 numpy would not hand (n, 1) @ (1,) to BLAS but
-    # run a per-row loop about ten times slower than an elementwise multiply;
-    # each entry is a single product either way, so the bits agree. The one
-    # exception is the sign of a zero product at theta = 0, which tanh keeps
-    # and the sum over rows drops. The shape check keeps the error matmul
-    # raises for a theta of the wrong length, which theta[..., 0] would pass.
+    # (n,) for one theta (d,), (n, k) for k stacked thetas (k, d). At d >= 2
+    # one BLAS product over the stored (d, n) block; at d = 1 an elementwise
+    # multiply, as numpy runs (n, 1) @ (1,) as a per-row loop ten times slower.
+    # The bits agree but for the sign of a zero product at theta = 0, which
+    # tanh keeps and the sum over rows drops. The shape check keeps matmul's
+    # error for a theta of the wrong length, which theta[..., 0] would pass.
     d = samples.shape[1]
     if theta.ndim not in (1, 2) or theta.shape[-1] != d:
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
@@ -187,36 +185,46 @@ def _project(samples: np.ndarray, theta: np.ndarray, out: np.ndarray | None = No
     return np.matmul(samples, theta.T, out=out)
 
 
-# Bytes of samples per column block of _f_n, so that a block and its inner
-# products stay in L2 from projection to reduction. Of 256 KiB to 1 MiB,
-# 512 KiB ran the d=1 float32 sweep fastest; 1 MiB was faster at d=10 on two
-# sweep threads but slower at d=1; 256 KiB was slower at d=10 than no blocking.
-_BLOCK_BYTES = 1 << 19
+# Bytes of samples per column block of the kernel, so that a block and its
+# inner products stay in L2 from projection to reduction: 512 KiB ran the d=1
+# float32 sweep fastest, 1 MiB the d=10 sweep on two threads.
+_BLOCK_BYTES_1D, _BLOCK_BYTES = 1 << 19, 1 << 20
 
 
-def _f_n(samples: np.ndarray, theta: np.ndarray,
-         with_logcosh: bool = False) -> tuple[np.ndarray, float | None]:
-    # The one kernel: f_n(theta) = (1/n) sum_i y_i tanh(<theta, y_i>), and
-    # sum_i logcosh(<theta, y_i>) when asked (else None), in one pass over
-    # column blocks of the stored (d, n) array. Block sums are added in block
-    # order, starting from the first rather than from zeros, so n within one
-    # block gives the bytes of the unblocked product.
+def _kernel(samples: np.ndarray, theta: np.ndarray):
+    # The one kernel, set up once per EM run and used by one thread, so that a
+    # step holds the GIL only between three numpy calls and an add per block:
+    # the column blocks with what _project would project and a slice of one
+    # buffer each, the d-vectors of the block sums, and the check of theta's
+    # shape. f_n(theta, with_logcosh) -> ((1/n) sum_i y_i tanh(<theta, y_i>),
+    # sum_i logcosh(<theta, y_i>) or None) adds the block sums in block order
+    # from the first, so n within one block gives the bytes of one product.
     n, d = samples.shape
-    block = max(1, _BLOCK_BYTES // (d * samples.itemsize))
+    if theta.shape != (d,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
+    block = max(1, (_BLOCK_BYTES_1D if d == 1 else _BLOCK_BYTES) // (d * samples.itemsize))
     buf = np.empty(min(n, block), dtype=samples.dtype)
-    acc, lc = None, (0.0 if with_logcosh else None)
-    for lo in range(0, n, block):
-        chunk = samples[lo:lo + block]
-        z = _project(chunk, theta, out=buf[:chunk.shape[0]])
-        if with_logcosh:
-            lc += float(np.sum(logcosh(z)))
-        part = chunk.T @ np.tanh(z, out=z)
-        acc = part if acc is None else acc + part
-    return acc / n, lc
+    blocks = [(rows[:, 0] if d == 1 else rows, rows.T, buf[:rows.shape[0]])
+              for rows in (samples[lo:lo + block] for lo in range(0, n, block))]
+    project = np.multiply if d == 1 else np.matmul
+    acc, part = np.empty(d, samples.dtype), np.empty(d, samples.dtype)
+
+    def f_n(theta: np.ndarray, with_logcosh: bool = False) -> tuple[np.ndarray, float | None]:
+        t, lc = theta[0] if d == 1 else theta, 0.0 if with_logcosh else None
+        for i, (rows, cols, z) in enumerate(blocks):
+            project(rows, t, out=z)
+            if with_logcosh:
+                lc += float(np.sum(logcosh(z)))
+            np.matmul(cols, np.tanh(z, out=z), out=part if i else acc)
+            if i:
+                np.add(acc, part, out=acc)
+        return acc / n, lc
+
+    return f_n
 
 
 def _log_likelihood_from(data: Dataset, theta: np.ndarray, logcosh_sum: float) -> float:
-    # log_likelihood given _f_n's sum of logcosh(<theta, y_i>)
+    # log_likelihood given the kernel's sum of logcosh(<theta, y_i>)
     base = -0.5 * data.mean_sq_norm - 0.5 * data.d * _LOG_2PI
     return base - 0.5 * float(theta @ theta) + logcosh_sum / data.n
 
@@ -230,13 +238,13 @@ def log_likelihood(data: Dataset, theta) -> float:
         -|y|^2/2 - (d/2) log(2 pi) - |theta|^2/2 + logcosh(<theta, y>).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    return _log_likelihood_from(data, theta, _f_n(data.samples, theta, with_logcosh=True)[1])
+    return _log_likelihood_from(data, theta, _kernel(data.samples, theta)(theta, True)[1])
 
 
 def grad_log_likelihood(data: Dataset, theta) -> np.ndarray:
     """Gradient of the average log-likelihood: -theta + E_n[Y tanh<theta, Y>]."""
     theta = np.asarray(theta, dtype=np.float64)
-    return _f_n(data.samples, theta)[0] - theta
+    return _kernel(data.samples, theta)(theta)[0] - theta
 
 
 def chi2_to_standard(theta) -> float:

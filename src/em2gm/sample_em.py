@@ -12,12 +12,12 @@ EM never decreases. iterate_em is the stripped loop for large Monte Carlo
 sweeps; it records nothing and can run in float32, where tanh and the two
 matrix products dominate and the narrower dtype roughly doubles throughput.
 
-em_map, run_em and iterate_em evaluate f_n through model._f_n, one pass over
-column blocks of about 512 KiB of the feature-major samples, each projected,
-put through tanh and reduced while in L2, where three whole-array passes
-streamed the samples from L3 once they outgrew it. run_em takes each
-iterate's log-likelihood from the same pass. A dataset within one block gives
-the bytes of the unblocked sum; larger ones move in their last bits.
+em_map, run_em and iterate_em evaluate f_n through model._kernel, which run_em
+and iterate_em set up once per run. A step is one pass over column blocks of
+the feature-major samples (512 KiB at d = 1, 1 MiB at d >= 2), each projected,
+put through tanh and reduced while in L2; run_em takes each iterate's
+log-likelihood from the same pass. A dataset within one block gives the bytes
+of the unblocked sum; larger ones move in their last bits.
 
 em_map_batch, behind the deviation probe, works through blocks of rows on
 every core with BLAS on one thread and adds the block sums in block order, so
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, _f_n, _log_likelihood_from, _project, loss
+from .model import Dataset, ModelSpec, _kernel, _log_likelihood_from, _project, loss
 from .svg import write_table
 
 __all__ = [
@@ -115,7 +115,8 @@ class Trajectory:
 
 def em_map(data: Dataset, theta) -> np.ndarray:
     """One EM step: f_n(theta) = (1/n) sum_i y_i tanh(<theta, y_i>)."""
-    return _f_n(data.samples, np.asarray(theta, dtype=np.float64))[0]
+    theta = np.asarray(theta, dtype=np.float64)
+    return _kernel(data.samples, theta)(theta)[0]
 
 
 @functools.cache
@@ -249,14 +250,15 @@ def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
             iterates.append(th.copy())
 
     # one pass over the samples per iterate gives its log-likelihood and its EM step
-    nxt, logcosh_sum = _f_n(data.samples, theta, with_logcosh=True)
+    f_n = _kernel(data.samples, theta)
+    nxt, logcosh_sum = f_n(theta, with_logcosh=True)
     record(theta, logcosh_sum)
     reason = StopReason.MAX_ITERS
     for _ in range(stop.max_iters):
         if not np.all(np.isfinite(nxt)):
             reason = StopReason.DIVERGED
             break
-        following, logcosh_sum = _f_n(data.samples, nxt, with_logcosh=True)
+        following, logcosh_sum = f_n(nxt, with_logcosh=True)
         record(nxt, logcosh_sum)
         if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
             reason = StopReason.REL_CHANGE
@@ -280,18 +282,18 @@ def iterate_em(samples: np.ndarray, theta0, stop: StopRule,
     The step count is the first t at which the relative-change rule fired,
     or max_iters if it never did. float32 halves memory traffic for the
     tanh/matmul inner loop; the returned iterate is cast back to float64.
-    The samples are used feature-major, as the contiguous (d, n) block
-    S.T: for a Dataset's samples in float64 that is the stored block itself,
-    with no copy, and any other layout or dtype is copied once. Each step is
-    one pass of model._f_n, the kernel run_em uses, so the float64 iterates
-    agree bitwise. A non-finite iterate raises ValueError naming its step.
+    The samples are used as the contiguous (d, n) block S.T, which for a
+    Dataset's float64 samples is the stored block; others are copied once.
+    Each step is a pass of model._kernel, set up once as in run_em, so float64
+    iterates agree bitwise; a non-finite one raises ValueError naming its step.
     """
     if samples.shape[0] == 0:
         raise ValueError("samples has no rows")
     S = np.ascontiguousarray(samples.T, dtype=dtype).T
     theta = np.asarray(theta0, dtype=dtype).copy()
+    f_n = _kernel(S, theta)
     for t in range(1, stop.max_iters + 1):
-        nxt = _f_n(S, theta)[0]
+        nxt = f_n(theta)[0]
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"EM iterate is not finite at step {t}")
         if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):

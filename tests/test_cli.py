@@ -99,6 +99,20 @@ def test_bad_flag_value_exits_one(capsys):
     assert "expected int" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("rate-sweep", "--threads"), ("deviation", "--threads"),
+                                           ("trajectory", "--max-iters"),
+                                           ("risk-compare", "--max-iters")])
+def test_negative_count_exits_one_naming_the_option(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert main([command, *_TINY[command], flag, "-3", "--out", str(out)]) == 1
+    assert f"{flag} must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: -5}))
+    assert main([command, "--config", str(cfg), "--dry-run"]) == 1
+    assert f"{flag} must be >= 0, got -5" in capsys.readouterr().err
+
+
 def test_bad_init_name_exits_one(tmp_path, capsys):
     assert main(["trajectory", "--init", "warm", "--n", "100",
                  "--out", str(tmp_path)]) == 1

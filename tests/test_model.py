@@ -96,6 +96,17 @@ def test_sample_dataset_stores_feature_major_block(s, d):
     assert data.samples.tobytes() == rows.tobytes()
 
 
+@pytest.mark.parametrize("theta_star", [[0.0, 1.25, 0.0], [0.7, 0.0, -1.9, 0.3]])
+def test_sample_dataset_matches_the_broadcast_recipe(theta_star):
+    # an axis center and a general center with a zero coordinate: the bytes
+    # of adding theta_star[:, None] * signs[None, :] to every row
+    spec = ModelSpec(np.array(theta_star))
+    u = open_uniforms(make_generator(14), (3000, spec.d + 1))
+    signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+    want = ndtri(u[:, 1:].T) + spec.theta_star[:, None] * signs[None, :]
+    assert sample_dataset(spec, 3000, 14).samples.T.tobytes() == want.tobytes()
+
+
 def test_dataset_normalizes_other_layouts_once():
     spec = ModelSpec.along_axis(1.0, 3)
     rows = np.arange(12.0).reshape(4, 3)  # C-ordered and writable

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from em2gm import model, sample_em
-from em2gm.model import (Dataset, ModelSpec, _f_n, _project, grad_log_likelihood,
-                         log_likelihood, sample_dataset)
+from em2gm.model import (Dataset, ModelSpec, _project, grad_log_likelihood, log_likelihood,
+                         sample_dataset)
 from em2gm.rng import derive_seed
 from em2gm.sample_em import (
     StopReason,
@@ -422,19 +423,30 @@ def test_em_map_batch_error_in_a_block_is_raised():
         _batch_on(3, data.samples, np.ones((3, 2)), row_block=300)
 
 
+def _counting_kernel(setups, calls):
+    # model._kernel, recording each set-up and each pass of the kernel it returns
+    def kernel(*args):
+        f_n = model._kernel(*args)
+        setups.append(1)
+        return lambda *a, **kw: calls.append(1) or f_n(*a, **kw)
+    return kernel
+
+
 def test_run_em_projects_once_per_iterate(monkeypatch):
     data = _data(s=1.0, d=2, n=2000, seed=65)
-    calls = []
-    monkeypatch.setattr(sample_em, "_f_n", lambda *a, **kw: calls.append(1) or _f_n(*a, **kw))
+    setups, calls = [], []
+    monkeypatch.setattr(sample_em, "_kernel", _counting_kernel(setups, calls))
     traj = run_em(data, np.array([0.5, 0.5]), StopRule(max_iters=30, rel_tol=0.0),
                   keep_iterates=True)
+    assert len(setups) == 1
     assert len(calls) == len(traj) == 31
     # the shared pass gives the same log-likelihood bits as a fresh one
     assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
 
 
 def _block(d, dtype=np.float64):
-    return model._BLOCK_BYTES // (d * np.dtype(dtype).itemsize)
+    # columns per kernel block: 512 KiB of samples at d = 1, 1 MiB at d >= 2
+    return (512 if d == 1 else 1024) * 1024 // (d * np.dtype(dtype).itemsize)
 
 
 def _many_block_data(d, s=1.0, seed=70):
@@ -443,14 +455,17 @@ def _many_block_data(d, s=1.0, seed=70):
 
 
 def test_block_is_half_a_mebibyte_of_samples(monkeypatch):
-    assert model._BLOCK_BYTES == 512 * 1024
-    assert (_block(1, np.float32), _block(1), _block(10)) == (131_072, 65_536, 6_553)
-    data = _many_block_data(1)
+    # ... at d = 1, and a mebibyte at d >= 2
+    assert (model._BLOCK_BYTES_1D, model._BLOCK_BYTES) == (512 * 1024, 1024 * 1024)
+    assert (_block(1, np.float32), _block(1), _block(2), _block(10), _block(10, np.float32)) \
+        == (131_072, 65_536, 65_536, 13_107, 26_214)
     sizes = []
-    monkeypatch.setattr(model, "_project",
-                        lambda y, *a, **kw: sizes.append(y.shape[0]) or _project(y, *a, **kw))
-    em_map(data, np.array([0.5]))
-    assert sizes == [65_536] * 3 + [777]
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda z, **kw: sizes.append(z.size) or tanh(z, **kw))
+    for d in (1, 10):
+        sizes.clear()
+        em_map(_many_block_data(d), np.full(d, 0.5))
+        assert sizes == [_block(d)] * 3 + [777]
 
 
 @pytest.mark.parametrize("d", [1, 2, 10])
@@ -467,17 +482,27 @@ def test_many_blocks_keep_the_bitwise_identities(d):
         assert np.all(em_map(data, th) - th - grad_log_likelihood(data, th) == 0.0)
 
 
-def _iterate_em_by_blocks(samples, theta0, stop, dtype):
-    # Reference loop: the feature-major samples in column blocks, inner
-    # products by matmul, block sums added in block order from the first.
-    yt = np.ascontiguousarray(samples.T, dtype=dtype)
+def _f_n_by_blocks(yt, theta):
+    # Reference kernel: the feature-major (d, n) samples in column blocks,
+    # inner products by matmul, block sums added in block order from the
+    # first, and the logcosh sum taken block by block.
     d, n = yt.shape
-    block = _block(d, dtype)
+    block = _block(d, yt.dtype)
+    sums, logcosh_sum = [], 0.0
+    for lo in range(0, n, block):
+        cols = yt[:, lo:lo + block]
+        z = cols.T @ theta
+        logcosh_sum += float(np.sum(model.logcosh(z)))
+        sums.append(cols @ np.tanh(z))
+    return sum(sums[1:], sums[0]) / n, logcosh_sum
+
+
+def _iterate_em_by_blocks(samples, theta0, stop, dtype):
+    # Reference loop: one reference kernel pass per step
+    yt = np.ascontiguousarray(samples.T, dtype=dtype)
     theta = np.asarray(theta0, dtype=dtype).copy()
     for t in range(1, stop.max_iters + 1):
-        sums = [yt[:, lo:lo + block] @ np.tanh(yt[:, lo:lo + block].T @ theta)
-                for lo in range(0, n, block)]
-        nxt = sum(sums[1:], sums[0]) / n
+        nxt = _f_n_by_blocks(yt, theta)[0]
         if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
             return nxt.astype(np.float64), t
         theta = nxt
@@ -494,6 +519,11 @@ def test_iterate_em_matches_blocked_reference_loop_bitwise(d, dtype):
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
+def _f_n(samples, theta, with_logcosh=False):
+    # one pass of the kernel, set up for this call alone
+    return model._kernel(samples, theta)(theta, with_logcosh)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 300_000), st.floats(0.0, 2.0), st.floats(0.0, 5.0),
        st.integers(0, 2**32 - 1))
@@ -508,6 +538,89 @@ def test_f_n_matches_one_shot_float64_means(d, n, s, scale, seed):
     terms = model.logcosh(y @ theta)
     assert abs(logcosh_sum / n - np.mean(terms)) <= 1e-12 * np.mean(np.abs(terms))
     assert np.array_equal(_f_n(data.samples, theta)[0], got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([np.float32, np.float64]), st.integers(0, 3),
+       st.one_of(st.integers(-3, 3), st.integers(4, 3000)), st.floats(0.0, 4.0),
+       st.integers(0, 2**32 - 1))
+def test_kernel_matches_blocked_reference_bitwise(d, dtype, blocks, offset, scale, seed):
+    # n at and around block edges, a ragged last block included
+    n = max(1, blocks * _block(d, dtype) + offset)
+    data = sample_dataset(ModelSpec.along_axis(1.0, d), n, seed)
+    yt = np.ascontiguousarray(data.samples.T, dtype=dtype)
+    theta = (scale * np.random.default_rng(seed).normal(size=d)).astype(dtype)
+    want, want_logcosh = _f_n_by_blocks(yt, theta)
+    f_n = model._kernel(yt.T, theta)
+    got, got_logcosh = f_n(theta, with_logcosh=True)
+    assert got.tobytes() == want.tobytes() and got_logcosh == want_logcosh
+    # a later step on the same buffers neither changes the first result nor
+    # carries anything over from it
+    again = f_n(theta[::-1].copy())[0]
+    assert again.tobytes() == _f_n_by_blocks(yt, theta[::-1].copy())[0].tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_iterate_em_on_two_threads_switching_often_matches_serial():
+    # each run sets up its own kernel: two at once must not share its buffers
+    datas = [_data(s=0.5, d=10, n=3 * _block(10) + 777, seed=seed) for seed in (73, 74)]
+    theta0, stop = np.full(10, 0.5), StopRule(max_iters=15, rel_tol=0.0)
+    want = [iterate_em(data.samples, theta0, stop)[0].tobytes() for data in datas]
+    got = [None, None]
+
+    def run(k):
+        got[k] = iterate_em(datas[k].samples, theta0, stop)[0].tobytes()
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(3):
+            got[:] = None, None
+            threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# d, n (up to several kernel blocks), s, scale of theta, seed
+_em_cases = st.tuples(st.integers(1, 6), st.integers(1, 100_000), st.floats(0.0, 3.0),
+                      st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
+
+
+def _em_case(d, n, s, scale, seed):
+    data = sample_dataset(ModelSpec.along_axis(s, d), n, seed)
+    return data, scale * np.random.default_rng(seed).normal(size=d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_em_cases)
+def test_em_map_is_odd_bitwise(case):
+    data, theta = _em_case(*case)
+    assert em_map(data, -theta).tobytes() == (-em_map(data, theta)).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_em_cases)
+def test_em_map_is_bounded_by_mean_absolute_sample(case):
+    # |f_n(theta)_j| <= (1/n) sum_i |y_ij| since |tanh| <= 1; either side's
+    # sum of n terms errs by at most n eps of the sum of magnitudes
+    data, theta = _em_case(*case)
+    bound = np.mean(np.abs(data.samples), axis=0) * (1.0 + data.n * np.finfo(float).eps)
+    assert np.all(np.abs(em_map(data, theta)) <= bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_em_cases)
+def test_run_em_never_decreases_the_log_likelihood(case):
+    # up to the rounding of a sum of n logcosh terms, at 1e-12 of its size
+    data, theta0 = _em_case(*case)
+    loglik = run_em(data, theta0, StopRule(max_iters=25, rel_tol=0.0)).loglik
+    assert np.all(np.diff(loglik) >= -1e-12 * np.maximum(1.0, np.abs(loglik[1:])))
 
 
 def test_empty_samples_are_rejected_by_name():
