@@ -83,8 +83,6 @@ def _coerce(name: str, typ: str, value):
 _COMMON = {
     "seed": _Opt("int", 0, "master seed; every command is deterministic in it"),
     "out": _Opt("str", "out", "output directory, created if missing"),
-    "threads": _Opt("int", 0, "sweep worker threads, each running BLAS on one thread; "
-                    "0 = number of cores"),
 }
 
 # Initializer names; "fixed" is accepted only by commands that take --theta0.
@@ -103,6 +101,9 @@ _SHARED = {
     "dtype": ("str", "EM inner-loop dtype: float64|float32"),
     "init": ("str", "initializer: " + "|".join(_INITS)),
     "c0": ("float", "scale constant of the random-sphere initializer"),
+    # only the sweeps take it; the other commands reject --threads
+    "threads": ("int", "sweep worker threads, each running BLAS on one thread; "
+                "0 = number of cores"),
 }
 
 
@@ -127,7 +128,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
     "rate-sweep": {
         **_opts(d=1, s=0.0),
         "n_grid": _Opt("ints", (1_000, 10_000, 100_000), "sample sizes, comma-separated"),
-        **_opts(replicates=20, dtype="float64"),
+        **_opts(replicates=20, dtype="float64", threads=0),
         **_EM_OPTS,
         **_COMMON,
     },
@@ -136,7 +137,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "s_grid": _Opt("floats", (0.1, 0.3, 1.0), "center norms, comma-separated"),
         **_opts(n=100_000, replicates=20),
         "estimators": _Opt("str", "em,spectral,zero", "estimators to score"),
-        **_opts(dtype="float64"),
+        **_opts(dtype="float64", threads=0),
         **{k: v for k, v in _EM_OPTS.items() if k != "theta0"},
         "init": _INIT_NO_FIXED,
         **_COMMON,
@@ -239,17 +240,13 @@ def _stop_rule(cfg: dict) -> StopRule | None:
     return StopRule(cfg["max_iters"], cfg["rel_tol"]) if cfg["max_iters"] > 0 else None
 
 
-def _threads(cfg: dict) -> int:
-    return cfg["threads"] if cfg["threads"] > 0 else (os.cpu_count() or 1)
-
-
 def _sweep_config(cfg: dict, n_grid, s_grid, path: Path) -> exp.ExperimentConfig:
     return exp.ExperimentConfig.from_product(
         n_grid, [cfg["d"]], s_grid,
         replicates=cfg["replicates"], init=_init_spec(cfg, cfg["d"]),
         master_seed=cfg["seed"], output_path=path, stop=_stop_rule(cfg),
         rel_tol=cfg["rel_tol"], c_iter=cfg["c_iter"], dtype=cfg["dtype"],
-        threads=_threads(cfg))
+        threads=cfg["threads"] or os.cpu_count() or 1)  # 0 means one per core
 
 
 def _write_states(path: Path, states) -> None:

@@ -8,16 +8,15 @@ Every replicate draws its seeds from a SeedSequence fan-out keyed by
 across reruns and across any parallel schedule; rows are merged in task-key
 order, never completion order. Every cell runs with numpy's BLAS on one
 thread, so ``threads`` sweep workers use that many cores and the bytes of a
-sweep do not depend on the BLAS thread count either. The BLAS control is
-sample_em's, shared with the batch map behind the deviation probe, which uses
-all cores the same way; its bytes depend only on the seed and row_block.
+sweep do not depend on the BLAS thread count either. The cells run through
+sample_em's _map_one_blas, as do the groups of the batch map behind the
+deviation probe, which uses all cores the same way.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -28,7 +27,7 @@ from .initializers import InitSpec, make_init, spectral_init
 from .model import Dataset, ModelSpec, log_likelihood, loss, sample_dataset
 from .population import PopulationState, QuadratureRule, f_pop, population_trajectory
 from .rng import derive_seed
-from .sample_em import StopRule, _one_blas_thread, iterate_em, run_em
+from .sample_em import StopRule, _map_one_blas, iterate_em, run_em
 from .svg import write_json, write_table
 
 __all__ = [
@@ -233,18 +232,9 @@ def _em_cell(config: ExperimentConfig, gi: int, k: int, estimators) -> tuple[Row
 
 
 def _run_tasks(config: ExperimentConfig, cell) -> list:
-    """Every (grid index, replicate) cell in task order, BLAS on one thread.
-
-    Sweep workers on top of BLAS threads oversubscribe the cores, and a
-    threaded BLAS sums in an order that depends on its thread count.
-    """
+    """Every (grid index, replicate) cell in task order, BLAS on one thread."""
     tasks = [(gi, k) for gi in range(len(config.grid)) for k in range(config.replicates)]
-    with _one_blas_thread():
-        if config.threads == 1:
-            return [cell(gi, k) for gi, k in tasks]
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            # map preserves task order, so the merge is schedule-independent
-            return list(pool.map(lambda t: cell(*t), tasks))
+    return _map_one_blas(lambda t: cell(*t), tasks, config.threads)
 
 
 def _default_summary_path(path: Path) -> Path:
@@ -333,11 +323,13 @@ def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,
 
     Runs EM for burn_in + extra + 50 steps with the relative stop disabled,
     takes the final iterate as theta_inf, and reports the ratio sequence for
-    t in the ``extra`` window. Once an iterate is within 1e-14 of theta_inf
-    the ratio is no longer meaningful and the window is truncated; with a
-    fast-contracting run the window can come back empty. A start at 0 (kind
-    "zero", or a fixed start of all zeros) is rejected: 0 is a fixed point of
-    the sample EM map, so the run never moves and the window is always empty.
+    t in the ``extra`` window. The window ends once an iterate is within
+    1e-10 max(1, |theta_inf|) of theta_inf, so that m ulps of rounding in the
+    iterates move a ratio r by at most about 2 m eps (1 + 1/r) / 1e-10
+    relative (1.4e-5 m at r = 0.45); with a fast-contracting run it can come
+    back empty. A start at 0 (kind "zero", or a fixed start of all zeros) is
+    rejected: 0 is a fixed point of the sample EM map, so the run never moves
+    and the window is always empty.
     """
     if spec is None:
         spec = data.spec
@@ -357,9 +349,10 @@ def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,
     iters = traj.iterates
     theta_inf = iters[-1]
     dist = np.linalg.norm(iters - theta_inf[None, :], axis=1)
+    cutoff = 1e-10 * max(1.0, float(np.linalg.norm(theta_inf)))
     ratios = []
     for t in range(burn_in, min(burn_in + extra, len(iters) - 1)):
-        if dist[t] < 1e-14:
+        if dist[t] < cutoff:
             break
         ratios.append(dist[t + 1] / dist[t])
     ratios = np.array(ratios)

@@ -8,13 +8,15 @@ global sign flip, so estimation error is always measured by
 
 in the Euclidean norm. This module owns the ground truth (ModelSpec), the
 sampler (Dataset), the loss, the average log-likelihood and its gradient, and
-the chi-square divergence to the standard normal. The likelihood, its gradient
-and the EM map share one kernel, _kernel, so em_map = theta + grad holds bitwise.
+the chi-square divergence to the standard normal. The likelihood, its gradient,
+the EM map and its batch form share one kernel, _kernel, so em_map = theta +
+grad holds bitwise.
 
 Samples are stored feature-major: ``Dataset.samples`` is the (n, d) transpose
 view of a read-only, C-contiguous (d, n) block, which the kernel walks in
-column blocks of 512 KiB at d = 1 and 1 MiB at d >= 2, set up once per EM run:
-each is projected, put through tanh and reduced while it sits in L2. The
+column blocks of 512 KiB at d = 1 and 1 MiB at d >= 2 (fewer columns for a
+stack of k > d thetas, so that the inner products fit too), set up once per EM
+run: each is projected, put through tanh and reduced while it sits in L2. The
 row-major (n, d) layout measured about twice as slow at d >= 2.
 """
 
@@ -169,48 +171,45 @@ def logcosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LOG_2
 
 
-def _project(samples: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # <theta, y_i> for every sample, written into ``out`` when given: shape
-    # (n,) for one theta (d,), (n, k) for k stacked thetas (k, d). At d >= 2
-    # one BLAS product over the stored (d, n) block; at d = 1 an elementwise
-    # multiply, as numpy runs (n, 1) @ (1,) as a per-row loop ten times slower.
-    # The bits agree but for the sign of a zero product at theta = 0, which
-    # tanh keeps and the sum over rows drops. The shape check keeps matmul's
-    # error for a theta of the wrong length, which theta[..., 0] would pass.
-    d = samples.shape[1]
-    if theta.ndim not in (1, 2) or theta.shape[-1] != d:
-        raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
-    if d == 1:
-        return np.multiply.outer(samples[:, 0], theta[..., 0], out=out)
-    return np.matmul(samples, theta.T, out=out)
-
-
 # Bytes of samples per column block of the kernel, so that a block and its
 # inner products stay in L2 from projection to reduction: 512 KiB ran the d=1
-# float32 sweep fastest, 1 MiB the d=10 sweep on two threads.
+# float32 sweep fastest, 1 MiB the d=10 sweep on two threads. With k thetas a
+# block has bytes // (max(d, k) * itemsize) columns, so that its (block, k)
+# inner products fit in the same bytes.
 _BLOCK_BYTES_1D, _BLOCK_BYTES = 1 << 19, 1 << 20
 
 
 def _kernel(samples: np.ndarray, theta: np.ndarray):
     # The one kernel, set up once per EM run and used by one thread, so that a
     # step holds the GIL only between three numpy calls and an add per block:
-    # the column blocks with what _project would project and a slice of one
-    # buffer each, the d-vectors of the block sums, and the check of theta's
-    # shape. f_n(theta, with_logcosh) -> ((1/n) sum_i y_i tanh(<theta, y_i>),
-    # sum_i logcosh(<theta, y_i>) or None) adds the block sums in block order
-    # from the first, so n within one block gives the bytes of one product.
+    # the column blocks with what to project and a slice of one buffer each,
+    # the accumulators of the block sums, and the checks of the samples and of
+    # theta's shape, (d,) for one theta or (k, d) for a stack of k.
+    # f_n(theta, with_logcosh) -> ((1/n) sum_i y_i tanh(<theta, y_i>) in
+    # theta's shape, sum_i logcosh(<theta, y_i>) for one theta, or None) adds
+    # the block sums in block order from the first, so n within one block
+    # gives the bytes of one product. At d >= 2 the inner products are one
+    # BLAS product per block; at d = 1 an elementwise multiply, as numpy runs
+    # (n, 1) @ (1,) as a per-row loop ten times slower. The bits agree but for
+    # the sign of a zero product at theta = 0, which tanh keeps and the sum
+    # over rows drops.
     n, d = samples.shape
-    if theta.shape != (d,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({d},)")
-    block = max(1, (_BLOCK_BYTES_1D if d == 1 else _BLOCK_BYTES) // (d * samples.itemsize))
-    buf = np.empty(min(n, block), dtype=samples.dtype)
-    blocks = [(rows[:, 0] if d == 1 else rows, rows.T, buf[:rows.shape[0]])
+    if n == 0:
+        raise ValueError("samples has no rows")
+    if theta.ndim not in (1, 2) or theta.shape[-1] != d:
+        raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
+    stack = theta.shape[:-1]  # () for one theta, (k,) for k of them
+    flat = d == 1 and not stack  # project one column by one number
+    block = max(1, (_BLOCK_BYTES_1D if d == 1 else _BLOCK_BYTES)
+                // (max((d, *stack)) * samples.itemsize))
+    buf = np.empty((min(n, block), *stack), dtype=samples.dtype)
+    blocks = [(rows[:, 0] if flat else rows, rows.T, buf[:rows.shape[0]])
               for rows in (samples[lo:lo + block] for lo in range(0, n, block))]
     project = np.multiply if d == 1 else np.matmul
-    acc, part = np.empty(d, samples.dtype), np.empty(d, samples.dtype)
+    acc, part = np.empty((d, *stack), samples.dtype), np.empty((d, *stack), samples.dtype)
 
     def f_n(theta: np.ndarray, with_logcosh: bool = False) -> tuple[np.ndarray, float | None]:
-        t, lc = theta[0] if d == 1 else theta, 0.0 if with_logcosh else None
+        t, lc = theta[0] if flat else theta.T, 0.0 if with_logcosh else None
         for i, (rows, cols, z) in enumerate(blocks):
             project(rows, t, out=z)
             if with_logcosh:
@@ -218,7 +217,7 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
             np.matmul(cols, np.tanh(z, out=z), out=part if i else acc)
             if i:
                 np.add(acc, part, out=acc)
-        return acc / n, lc
+        return (acc / n).T, lc
 
     return f_n
 

@@ -5,9 +5,9 @@ generator and a fixed uniform-to-normal convention, so that every sample is
 reproducible bit for bit from its seed. Sweeps (``rate_sweep``,
 ``risk_compare``) are then bit-identical on one machine regardless of how the
 work is scheduled across replicates or how many threads BLAS has, because
-their cells run BLAS on one thread. Other commands at d >= 2 (trajectory,
-mle-probe, deviation) keep the threaded BLAS, so the last bits of their
-results can depend on the BLAS thread count.
+their cells run BLAS on one thread, and so does the deviation probe's batch
+map. trajectory and mle-probe keep the threaded BLAS, so at d >= 2 the last
+bits of their results can depend on the BLAS thread count.
 
 Conventions (documented once, here):
 

@@ -99,7 +99,8 @@ def test_bad_flag_value_exits_one(capsys):
     assert "expected int" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flag", [("rate-sweep", "--threads"), ("deviation", "--threads"),
+@pytest.mark.parametrize("command, flag", [("rate-sweep", "--threads"),
+                                           ("risk-compare", "--threads"),
                                            ("trajectory", "--max-iters"),
                                            ("risk-compare", "--max-iters")])
 def test_negative_count_exits_one_naming_the_option(tmp_path, capsys, command, flag):
@@ -111,6 +112,19 @@ def test_negative_count_exits_one_naming_the_option(tmp_path, capsys, command, f
     cfg.write_text(json.dumps({flag[2:]: -5}))
     assert main([command, "--config", str(cfg), "--dry-run"]) == 1
     assert f"{flag} must be >= 0, got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(set(_TINY) - {"rate-sweep", "risk-compare"}))
+def test_threads_is_unknown_outside_the_sweeps(tmp_path, capsys, command):
+    # only the sweeps have worker threads; elsewhere the option would be ignored
+    out = tmp_path / "out"
+    assert main([command, *_TINY[command], "--threads", "2", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert main([command, "--config", str(cfg), "--dry-run"]) == 1
+    assert "unknown config key 'threads'" in capsys.readouterr().err
 
 
 def test_bad_init_name_exits_one(tmp_path, capsys):
@@ -187,6 +201,16 @@ def test_deviation_bytes_do_not_depend_on_blas_threads(tmp_path):
                        env={**env, **extra_env}, check=True, capture_output=True, timeout=300)
     want = (tmp_path / "blas-default" / "deviation.csv").read_bytes()
     assert (tmp_path / "blas-1" / "deviation.csv").read_bytes() == want
+
+
+def test_deviation_bytes_do_not_depend_on_cores(tmp_path, monkeypatch):
+    # the batch map runs its groups of thetas on os.cpu_count() threads
+    for cores in (1, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert main(["deviation", "--d", "2", "--s", "1", "--n", "20000", "--directions", "16",
+                     "--radii", "12", "--seed", "3", "--out", str(tmp_path / str(cores))]) == 0
+    want = (tmp_path / "1" / "deviation.csv").read_bytes()
+    assert (tmp_path / "3" / "deviation.csv").read_bytes() == want
 
 
 def test_mle_probe_command(tmp_path, capsys):

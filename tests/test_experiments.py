@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -321,6 +322,35 @@ def test_mle_probe_truncates_converged_window():
                                   burn_in=400, extra=10)
     assert probe.ratios.size == 0
     assert probe.max_ratio is None and probe.c_hat is None
+
+
+def _moved_by_ulps(iterates, m):
+    # every coordinate moved by m ulps, up at even steps and down at odd ones
+    out = iterates.copy()
+    for t in range(len(out)):
+        for _ in range(m):
+            out[t] = np.nextafter(out[t], np.inf if t % 2 == 0 else -np.inf)
+    return out
+
+
+def test_mle_probe_ratios_move_little_when_the_iterates_move_by_ulps(monkeypatch):
+    # a few ulps of rounding in the iterates move a ratio r by at most
+    # 2 m eps (1 + 1/r) / 1e-10 relative, as the window ends 1e-10 from the limit
+    spec = ModelSpec.along_axis(1.0, 2)
+    data = sample_dataset(spec, 100_000, 66)
+    init = InitSpec(kind="random_sphere", seed=67)
+    want = mle_contraction_probe(data, spec, init, burn_in=20, extra=20).ratios
+    run_em, m = experiments.run_em, 6
+
+    def moved_run_em(*args, **kwargs):
+        traj = run_em(*args, **kwargs)
+        return dataclasses.replace(traj, iterates=_moved_by_ulps(traj.iterates, m))
+
+    monkeypatch.setattr(experiments, "run_em", moved_run_em)
+    got = mle_contraction_probe(data, spec, init, burn_in=20, extra=20).ratios
+    assert 0 < want.size == got.size
+    bound = 1.01 * 2 * m * np.finfo(float).eps * (1 + 1 / want) / 1e-10
+    assert np.all(np.abs(got / want - 1) <= bound)
 
 
 def test_mle_probe_warns_below_contraction_scale():

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from em2gm import model, sample_em
-from em2gm.model import (Dataset, ModelSpec, _project, grad_log_likelihood, log_likelihood,
-                         sample_dataset)
+from em2gm.model import Dataset, ModelSpec, grad_log_likelihood, log_likelihood, sample_dataset
 from em2gm.rng import derive_seed
 from em2gm.sample_em import (
     StopReason,
@@ -71,7 +70,8 @@ def test_em_map_lipschitz_in_sample_covariance_norm():
 def test_em_map_batch_matches_single_evaluations():
     data = _data(n=3000, seed=5)
     thetas = np.random.default_rng(5).normal(size=(17, 2))
-    batched = em_map_batch(data.samples, thetas, row_block=1000)  # forces chunking
+    with _blocks_of(1000 * 17 * 8):  # blocks of 1000 rows
+        batched = em_map_batch(data.samples, thetas)
     single = np.array([em_map(data, t) for t in thetas])
     # blocked accumulation reorders the sum, so roundoff-level agreement only
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-15)
@@ -204,18 +204,6 @@ def test_wrong_length_theta_is_rejected_at_d1():
         em_jacobian(data, np.array([0.5, 0.5]))
 
 
-def _em_map_batch_by_matmul(samples, thetas, row_block):
-    # Reference: the batch map with the inner products formed as chunk @ thetas.T.
-    n, d = samples.shape
-    k = thetas.shape[0]
-    block = max(1, min(n, row_block // k))
-    acc = np.zeros((k, d))
-    for lo in range(0, n, block):
-        chunk = samples[lo:lo + block]
-        acc += np.tanh(chunk @ thetas.T).T @ chunk
-    return acc / n
-
-
 def _em_jacobian_by_matmul(samples, theta):
     # Reference: the Jacobian with the inner products formed as samples @ theta.
     x = np.abs(samples @ theta)
@@ -229,9 +217,10 @@ def test_batch_map_and_jacobian_1d_match_matmul_bitwise():
     data = _data(s=1.0, d=1, n=5000, seed=43)
     rows = data.samples.copy(order="C")
     thetas = np.random.default_rng(43).normal(size=(8, 1))
-    for row_block in (2_000_000, 8000):  # one block, then chunks of 1000 rows
-        got = em_map_batch(data.samples, thetas, row_block=row_block)
-        assert got.tobytes() == _em_map_batch_by_matmul(rows, thetas, row_block).tobytes()
+    for nbytes in (1 << 19, 8000 * 8):  # one block, then blocks of 1000 rows
+        with _blocks_of(nbytes):
+            got = em_map_batch(data.samples, thetas)
+        assert got.tobytes() == _batch_by_blocks(data.samples, thetas, nbytes).tobytes()
     for theta in (np.array([0.0]), np.array([0.7]), np.array([-40.0])):
         assert em_jacobian(data, theta).tobytes() == _em_jacobian_by_matmul(rows, theta).tobytes()
 
@@ -305,23 +294,25 @@ def test_gradient_and_em_map_share_kernel():
     data = _data(seed=31)
 
 
-def _em_map_batch_serial(samples, thetas, row_block):
-    # Reference: the single-threaded loop over the same blocks, BLAS on one
-    # thread, block sums added in block order.
-    n, d = samples.shape
-    k = thetas.shape[0]
-    block = max(1, min(n, row_block // k))
-    acc = np.zeros((k, d))
-    with sample_em._one_blas_thread():
-        for lo in range(0, n, block):
-            chunk = samples[lo:lo + block]
-            acc += np.tanh(_project(chunk, thetas)).T @ chunk
-    return acc / n
+def _blocks_of(nbytes):
+    # the kernel's column blocks shrunk to nbytes of samples at every d
+    return mock.patch.multiple(model, _BLOCK_BYTES_1D=nbytes, _BLOCK_BYTES=nbytes)
 
 
-def _batch_on(cores, samples, thetas, **kw):
-    with mock.patch.object(os, "cpu_count", return_value=cores):
-        return em_map_batch(samples, thetas, **kw)
+def _batch_by_blocks(samples, thetas, nbytes=None, group=None):
+    # Reference batch map: the blocked reference kernel on each group of
+    # thetas in turn, BLAS on one thread
+    yt = np.ascontiguousarray(samples.T)
+    group = group or sample_em._GROUP
+    groups = [thetas[lo:lo + group] for lo in range(0, thetas.shape[0], group)]
+    return np.concatenate(sample_em._map_one_blas(
+        lambda g: _f_n_by_blocks(yt, g, nbytes)[0], groups, 1))
+
+
+def _batch_on(cores, samples, thetas, group=None):
+    with mock.patch.object(os, "cpu_count", return_value=cores), \
+            mock.patch.object(sample_em, "_GROUP", group or sample_em._GROUP):
+        return em_map_batch(samples, thetas)
 
 
 _batch_cases = st.tuples(st.integers(1, 4), st.integers(1, 4000), st.integers(1, 24),
@@ -347,15 +338,17 @@ def test_tanh_is_odd_bitwise():
 @given(_batch_cases)
 def test_em_map_batch_is_odd(case):
     data, thetas = _batch_case(*case)
-    got = em_map_batch(data.samples, thetas, row_block=4096)
-    assert np.array_equal(em_map_batch(data.samples, -thetas, row_block=4096), -got)
+    with _blocks_of(4096 * 8):
+        got = em_map_batch(data.samples, thetas)
+        assert np.array_equal(em_map_batch(data.samples, -thetas), -got)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_batch_cases)
 def test_em_map_batch_rows_match_em_map(case):
     data, thetas = _batch_case(*case)
-    got = em_map_batch(data.samples, thetas, row_block=4096)
+    with _blocks_of(4096 * 8):
+        got = em_map_batch(data.samples, thetas)
     # either sum of n <= 4000 terms y_ij tanh(.) errs by at most n eps mean|y_j|
     scale = 1e-12 * np.mean(np.abs(data.samples), axis=0)
     for row, theta in zip(got, thetas):
@@ -363,39 +356,48 @@ def test_em_map_batch_rows_match_em_map(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_batch_cases, st.integers(2, 20))
-def test_em_map_batch_bytes_do_not_depend_on_cores(case, blocks):
+@given(_batch_cases, st.integers(2, 20), st.integers(1, 8))
+def test_em_map_batch_bytes_do_not_depend_on_cores(case, blocks, group):
     data, thetas = _batch_case(*case)
-    n, k = data.n, thetas.shape[0]
-    # about ``blocks`` blocks of rows, the last one short unless n divides
-    row_block = k * max(1, -(-n // blocks) + 1)
-    want = _em_map_batch_serial(data.samples, thetas, row_block).tobytes()
-    for cores in (1, 2, 3):
-        got = _batch_on(cores, data.samples, thetas, row_block=row_block)
-        assert got.tobytes() == want, cores
+    n, d = data.n, data.d
+    # about ``blocks`` blocks of rows in a full group, the last one short
+    # unless n divides, over groups of ``group`` thetas
+    nbytes = (-(-n // blocks) + 1) * max(d, group) * 8
+    with _blocks_of(nbytes):
+        want = _batch_by_blocks(data.samples, thetas, nbytes, group).tobytes()
+        for cores in (1, 2, 3):
+            assert _batch_on(cores, data.samples, thetas, group).tobytes() == want, cores
 
 
-def test_em_map_batch_default_block_is_a_mebibyte():
-    # the 131072-value default splits d=2, n=1e5, k=192 into 682-row blocks
+def test_em_map_batch_default_block_is_a_mebibyte(monkeypatch):
+    # d=2, k=192 runs as 4 groups of 48 thetas, each over blocks of
+    # 1 MiB // (48 * 8) = 2730 rows, the last of n=1e5 1720 rows long
+    assert sample_em._GROUP == 48 and _block(2, k=48) == 2730
     data = _data(s=1.0, d=2, n=100_000, seed=61)
     thetas = np.random.default_rng(61).normal(size=(192, 2))
-    want = _em_map_batch_serial(data.samples, thetas, 131_072)
-    assert em_map_batch(data.samples, thetas).tobytes() == want.tobytes()
+    shapes = []
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda z, **kw: shapes.append(z.shape) or tanh(z, **kw))
+    got = em_map_batch(data.samples, thetas)
+    assert sorted(shapes) == sorted(4 * ([(2730, 48)] * 36 + [(1720, 48)]))
+    monkeypatch.setattr(np, "tanh", tanh)
+    assert got.tobytes() == _batch_by_blocks(data.samples, thetas).tobytes()
 
 
 def test_em_map_batch_many_workers_switching_often():
-    # more workers than cores and a short switch interval: the buffers they
-    # share must never be handed to two blocks at once
+    # more workers than cores and a short switch interval: each group must
+    # keep its own kernel's buffers
     data = _data(s=1.0, d=3, n=20_000, seed=62)
     thetas = np.random.default_rng(62).normal(size=(16, 3))
-    want = _em_map_batch_serial(data.samples, thetas, 16 * 97).tobytes()
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for _ in range(5):
-            assert _batch_on(8, data.samples, thetas, row_block=16 * 97).tobytes() == want
-    finally:
-        sys.setswitchinterval(interval)
+    with _blocks_of(97 * 3 * 8):  # blocks of 97 rows, as d=3 exceeds 2 thetas a group
+        want = _batch_by_blocks(data.samples, thetas, 97 * 3 * 8, group=2).tobytes()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(5):
+                assert _batch_on(8, data.samples, thetas, group=2).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_em_map_batch_runs_blas_on_one_thread_and_restores_it(monkeypatch):
@@ -404,23 +406,23 @@ def test_em_map_batch_runs_blas_on_one_thread_and_restores_it(monkeypatch):
         pytest.skip("no thread control found for numpy's BLAS")
     get, set_ = control
     seen = []
-    monkeypatch.setattr(sample_em, "_project",
-                        lambda *a, **kw: seen.append(get()) or _project(*a, **kw))
+    monkeypatch.setattr(sample_em, "_kernel",
+                        lambda *a: seen.append(get()) or model._kernel(*a))
     data = _data(s=1.0, d=2, n=5000, seed=63)
     before = get()
     try:
         set_(2)
-        _batch_on(3, data.samples, np.ones((4, 2)), row_block=400)
+        _batch_on(3, data.samples, np.ones((200, 2)))  # groups of 48, 48, 48, 48 and 8
         assert get() == 2
     finally:
         set_(before)
-    assert len(seen) == 50 and set(seen) == {1}
+    assert len(seen) == 5 and set(seen) == {1}
 
 
 def test_em_map_batch_error_in_a_block_is_raised():
     data = _data(s=1.0, d=1, n=5000, seed=64)
     with pytest.raises(ValueError):
-        _batch_on(3, data.samples, np.ones((3, 2)), row_block=300)
+        _batch_on(3, data.samples, np.ones((3, 2)), group=1)
 
 
 def _counting_kernel(setups, calls):
@@ -444,9 +446,12 @@ def test_run_em_projects_once_per_iterate(monkeypatch):
     assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
 
 
-def _block(d, dtype=np.float64):
-    # columns per kernel block: 512 KiB of samples at d = 1, 1 MiB at d >= 2
-    return (512 if d == 1 else 1024) * 1024 // (d * np.dtype(dtype).itemsize)
+def _block(d, dtype=np.float64, k=1, nbytes=None):
+    # columns per kernel block for k thetas: nbytes, by default 512 KiB of
+    # samples at d = 1 and 1 MiB at d >= 2, over max(d, k) values a column
+    if nbytes is None:
+        nbytes = (512 if d == 1 else 1024) * 1024
+    return max(1, nbytes // (max(d, k) * np.dtype(dtype).itemsize))
 
 
 def _many_block_data(d, s=1.0, seed=70):
@@ -482,19 +487,20 @@ def test_many_blocks_keep_the_bitwise_identities(d):
         assert np.all(em_map(data, th) - th - grad_log_likelihood(data, th) == 0.0)
 
 
-def _f_n_by_blocks(yt, theta):
+def _f_n_by_blocks(yt, theta, nbytes=None):
     # Reference kernel: the feature-major (d, n) samples in column blocks,
-    # inner products by matmul, block sums added in block order from the
-    # first, and the logcosh sum taken block by block.
+    # inner products with one theta (d,) or k stacked thetas (k, d) by
+    # matmul, block sums added in block order from the first, and the
+    # logcosh sum taken block by block.
     d, n = yt.shape
-    block = _block(d, yt.dtype)
+    block = _block(d, yt.dtype, 1 if theta.ndim == 1 else theta.shape[0], nbytes)
     sums, logcosh_sum = [], 0.0
     for lo in range(0, n, block):
         cols = yt[:, lo:lo + block]
-        z = cols.T @ theta
+        z = cols.T @ theta.T
         logcosh_sum += float(np.sum(model.logcosh(z)))
         sums.append(cols @ np.tanh(z))
-    return sum(sums[1:], sums[0]) / n, logcosh_sum
+    return (sum(sums[1:], sums[0]) / n).T, logcosh_sum
 
 
 def _iterate_em_by_blocks(samples, theta0, stop, dtype):
@@ -541,15 +547,17 @@ def test_f_n_matches_one_shot_float64_means(d, n, s, scale, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 12), st.sampled_from([np.float32, np.float64]), st.integers(0, 3),
-       st.one_of(st.integers(-3, 3), st.integers(4, 3000)), st.floats(0.0, 4.0),
-       st.integers(0, 2**32 - 1))
-def test_kernel_matches_blocked_reference_bitwise(d, dtype, blocks, offset, scale, seed):
-    # n at and around block edges, a ragged last block included
-    n = max(1, blocks * _block(d, dtype) + offset)
+@given(st.integers(1, 12), st.sampled_from([np.float32, np.float64]), st.integers(0, 60),
+       st.integers(0, 3), st.one_of(st.integers(-3, 3), st.integers(4, 3000)),
+       st.floats(0.0, 4.0), st.integers(0, 2**32 - 1))
+def test_kernel_matches_blocked_reference_bitwise(d, dtype, k, blocks, offset, scale, seed):
+    # one theta (k = 0) or a stack of k; n at and around block edges, a
+    # ragged last block included
+    n = max(1, blocks * _block(d, dtype, max(k, 1)) + offset)
     data = sample_dataset(ModelSpec.along_axis(1.0, d), n, seed)
     yt = np.ascontiguousarray(data.samples.T, dtype=dtype)
-    theta = (scale * np.random.default_rng(seed).normal(size=d)).astype(dtype)
+    shape = (k, d) if k else (d,)
+    theta = (scale * np.random.default_rng(seed).normal(size=shape)).astype(dtype)
     want, want_logcosh = _f_n_by_blocks(yt, theta)
     f_n = model._kernel(yt.T, theta)
     got, got_logcosh = f_n(theta, with_logcosh=True)
