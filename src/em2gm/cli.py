@@ -217,9 +217,11 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
         value = getattr(args, name)
         if value is not _UNSET:
             resolved[name] = _coerce(name, opt.typ, value)
-    for name in ("threads", "max_iters"):  # 0 picks the default; below 0 is a typo
-        if resolved.get(name, 0) < 0:
-            raise CliError(f"--{name.replace('_', '-')} must be >= 0, got {resolved[name]}")
+    # 0 threads or max_iters picks the default; a deviation grid needs a
+    # direction and a radius; anything less is a typo
+    for name, least in (("threads", 0), ("max_iters", 0), ("directions", 1), ("radii", 1)):
+        if resolved.get(name, least) < least:
+            raise CliError(f"--{name.replace('_', '-')} must be >= {least}, got {resolved[name]}")
     return resolved
 
 

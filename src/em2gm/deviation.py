@@ -67,6 +67,9 @@ def default_probe_grid(spec: ModelSpec, seed: int, n_directions: int = 32,
     The default ceiling 10 (sqrt(d) + s) is the radius inside which both the
     sample and population maps provably stay, so probing beyond it is moot.
     """
+    for name, count in (("n_directions", n_directions), ("n_radii", n_radii)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if r_max is None:
         r_max = 10.0 * (math.sqrt(spec.d) + spec.s)
     rng = make_generator(seed)

@@ -18,6 +18,8 @@ column blocks of 512 KiB at d = 1 and 1 MiB at d >= 2 (fewer columns for a
 stack of k > d thetas, so that the inner products fit too), set up once per EM
 run: each is projected, put through tanh and reduced while it sits in L2. The
 row-major (n, d) layout measured about twice as slow at d >= 2.
+sample_dataset fills that block in chunks of 1 MiB of uniforms, one chunk of
+rows at a time, so sampling holds the block and one chunk at its peak.
 """
 
 from __future__ import annotations
@@ -139,20 +141,33 @@ def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
     """Draw n iid samples from the mixture, deterministically in ``seed``.
 
     Row i consumes d+1 uniforms: one for the sign, d for the normal vector.
-    The normals are written straight into the feature-major (d, n) block, so
-    the values are those of the row-major recipe and no copy is made.
+    The rows are drawn in chunks of _BLOCK_BYTES of uniforms, which continue
+    one stream, and each chunk's normals are written straight into its
+    columns of the feature-major (d, n) block, so the values are those of the
+    row-major recipe over all n rows and peak memory is the block plus one
+    chunk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_generator(seed)
-    u = open_uniforms(rng, (n, spec.d + 1))
-    signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
     yt = np.empty((spec.d, n))
-    ndtri(u[:, 1:].T, out=yt)
-    for j in np.flatnonzero(spec.theta_star):  # no normal is +-0: skipping zeros keeps the bits
-        yt[j] += spec.theta_star[j] * signs
+    chunk = max(1, _BLOCK_BYTES // ((spec.d + 1) * 8))
+    for lo in range(0, n, chunk):
+        _draw_rows(rng, spec.theta_star, yt[:, lo:lo + chunk])
     yt.setflags(write=False)
     return Dataset(samples=yt.T, seed=int(seed), spec=spec)
+
+
+def _draw_rows(rng: np.random.Generator, theta_star: np.ndarray, cols: np.ndarray) -> None:
+    # The next cols.shape[1] rows of the stream into the (d, m) column slice
+    # cols; the chunk's uniforms and signs are freed on return.
+    u = open_uniforms(rng, (cols.shape[1], cols.shape[0] + 1))
+    ndtri(u[:, 1:].T, out=cols)
+    nonzero = np.flatnonzero(theta_star)  # no normal is -0: skipping zeros keeps the bits
+    if nonzero.size:
+        signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+        for j in nonzero:
+            cols[j] += theta_star[j] * signs
 
 
 def loss(theta_hat, theta) -> float:
@@ -175,7 +190,9 @@ def logcosh(x):
 # inner products stay in L2 from projection to reduction: 512 KiB ran the d=1
 # float32 sweep fastest, 1 MiB the d=10 sweep on two threads. With k thetas a
 # block has bytes // (max(d, k) * itemsize) columns, so that its (block, k)
-# inner products fit in the same bytes.
+# inner products fit in the same bytes. sample_dataset draws its uniforms in
+# chunks of _BLOCK_BYTES too: 256 KiB to 4 MiB ran within noise of each other
+# (d = 1, 2 at n = 1e6, d = 10 at n = 1e5), and 1 MiB keeps its peak small.
 _BLOCK_BYTES_1D, _BLOCK_BYTES = 1 << 19, 1 << 20
 
 

@@ -189,14 +189,16 @@ _GROUP = 48
 def em_map_batch(samples: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """f_n evaluated at many points at once; thetas is (k, d), result (k, d).
 
+    k may be 0, which gives an empty (0, d) result.
+
     Each group of _GROUP thetas is one pass of model._kernel over the samples
     in column blocks; the groups run on os.cpu_count() threads with BLAS on
     one thread, so the bytes depend only on the inputs.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     groups = [thetas[lo:lo + _GROUP] for lo in range(0, thetas.shape[0], _GROUP)]
-    return np.concatenate(_map_one_blas(lambda g: _kernel(samples, g)(g)[0], groups,
-                                        os.cpu_count() or 1))
+    return np.concatenate([np.empty((0, thetas.shape[1]), samples.dtype), *_map_one_blas(
+        lambda g: _kernel(samples, g)(g)[0], groups, os.cpu_count() or 1)])
 
 
 def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,

@@ -3,6 +3,9 @@
 import math
 
 import numpy as np
+from scipy.special import ndtri
+
+from em2gm.rng import make_generator
 
 
 def tanh_sup_grid_search(x: float, y: float) -> float:
@@ -32,3 +35,21 @@ def f_pop_com(theta: float, s: float, rule) -> float:
     z = rule._z
     vals = z * np.tanh(float(theta) * z) * np.cosh(s * z)
     return math.exp(-0.5 * s * s) * float(rule._wz @ vals)
+
+
+def sample_rows_reference(spec, n: int, seed: int) -> np.ndarray:
+    """model.sample_dataset's samples by the one-shot recipe, as an (n, d) view.
+
+    The whole (n, d+1) matrix of uniforms is drawn at once from 53-bit
+    integers as (k + 0.5) * 2**-53, the full sign vector is taken from its
+    first column, ndtri of the rest is written into a (d, n) block, and
+    theta_star[j] * signs is added to row j for every nonzero coordinate j.
+    """
+    k = make_generator(seed).integers(0, 1 << 53, size=(n, spec.d + 1), dtype=np.int64)
+    u = (k + 0.5) * 2.0 ** -53
+    signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+    yt = np.empty((spec.d, n))
+    ndtri(u[:, 1:].T, out=yt)
+    for j in np.flatnonzero(spec.theta_star):
+        yt[j] += spec.theta_star[j] * signs
+    return yt.T

@@ -114,6 +114,19 @@ def test_negative_count_exits_one_naming_the_option(tmp_path, capsys, command, f
     assert f"{flag} must be >= 0, got -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--directions", "--radii"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_empty_deviation_grid_exits_one_naming_the_option(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["deviation", *_TINY["deviation"], flag, str(value), "--out", str(out)]) == 1
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    assert main(["deviation", "--config", str(cfg), "--dry-run"]) == 1
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(set(_TINY) - {"rate-sweep", "risk-compare"}))
 def test_threads_is_unknown_outside_the_sweeps(tmp_path, capsys, command):
     # only the sweeps have worker threads; elsewhere the option would be ignored

@@ -68,6 +68,14 @@ def test_default_probe_grid_shape_and_ceiling():
     assert np.all(np.diff(grid.radii) > 0)
 
 
+@pytest.mark.parametrize("counts, name", [((0, 5), "n_directions"), ((4, 0), "n_radii"),
+                                          ((-1, 5), "n_directions"), ((4, -1), "n_radii")])
+def test_default_probe_grid_rejects_an_empty_grid(counts, name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        default_probe_grid(ModelSpec.along_axis(1.0, 2), seed=1, n_directions=counts[0],
+                           n_radii=counts[1])
+
+
 def test_population_map_fixes_truth(rule):
     spec = ModelSpec(np.array([0.6, -0.8]))
     out = population_map_ddim(spec.theta_star, spec, rule)

@@ -1,9 +1,15 @@
+import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from em2gm import model
 from em2gm.model import (
     Dataset,
     ModelSpec,
@@ -16,6 +22,7 @@ from em2gm.model import (
 )
 from em2gm.rng import derive_seed, make_generator, open_uniforms
 from em2gm.sample_em import em_map
+from oracles import sample_rows_reference
 
 
 def test_spec_infers_dimension_and_norm():
@@ -105,6 +112,61 @@ def test_sample_dataset_matches_the_broadcast_recipe(theta_star):
     signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
     want = ndtri(u[:, 1:].T) + spec.theta_star[:, None] * signs[None, :]
     assert sample_dataset(spec, 3000, 14).samples.T.tobytes() == want.tobytes()
+
+
+@st.composite
+def _centers(draw):
+    # s = 0, a center on an axis, or a general center with zero coordinates
+    d = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["zero", "axis", "general"]))
+    if kind == "zero":
+        return ModelSpec(np.zeros(d))
+    if kind == "axis":
+        return ModelSpec.along_axis(draw(st.floats(1e-3, 5.0)), d)
+    coords = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_subnormal=False))
+    return ModelSpec(np.array(draw(st.lists(coords, min_size=d, max_size=d))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_centers(), st.integers(1, 8), st.integers(0, 6), st.integers(-1, 1),
+       st.integers(0, 2**64 - 1), st.data())
+def test_sample_dataset_is_the_one_shot_recipe_across_chunks(spec, rows, chunks, edge, seed,
+                                                           data):
+    # chunks of ``rows`` rows (plus a few spare bytes), n on either side of a
+    # chunk edge: the bytes of drawing and transforming all n rows at once
+    nbytes = rows * (spec.d + 1) * 8 + data.draw(st.integers(0, (spec.d + 1) * 8 - 1))
+    n = max(1, chunks * rows + edge)
+    with mock.patch.object(model, "_BLOCK_BYTES", nbytes):
+        got = sample_dataset(spec, n, seed)
+    assert got.samples.T.tobytes() == sample_rows_reference(spec, n, seed).T.tobytes()
+
+
+@pytest.mark.parametrize("d, s", [(1, 0.0), (2, 1.0)])
+def test_sample_dataset_peak_memory_is_the_block_and_one_chunk(d, s):
+    # the (d, n) block, the row-norm vector of mean_sq_norm and 2 MiB for one
+    # 1 MiB chunk of uniforms and its signs
+    n, spec = 1_000_000, ModelSpec.along_axis(s, d)
+    sample_dataset(spec, 1000, 0)
+    tracemalloc.start()
+    try:
+        sample_dataset(spec, n, 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * d * 8 + n * 8 + 2 * 2**20
+
+
+@pytest.mark.parametrize("theta_star, n, seed, digest", [
+    ([0.0], 200_000, 11, "f6e00f5430c88fd81121983ee44b43695192fc20ed56770b7d5bfc16581d27fa"),
+    ([0.7, 0.0, -1.9], 50_000, 12,
+     "627a691682637c98e409d800487d521c6a8ffbb7f9ef4ea6a86727b08d3c57eb"),
+    ([0.3] + [0.0] * 9, 30_000, 13,
+     "484bd783a6e5104403d5e0ae7b44800c155f50e82159890971625a59c3cb5dc5"),
+])
+def test_sample_dataset_golden_bytes(theta_star, n, seed, digest):
+    # each case spans several chunks; a change that moves any sampled bit fails here
+    data = sample_dataset(ModelSpec(np.array(theta_star)), n, seed)
+    assert hashlib.sha256(data.samples.T.tobytes()).hexdigest() == digest
 
 
 def test_dataset_normalizes_other_layouts_once():

@@ -77,6 +77,12 @@ def test_em_map_batch_matches_single_evaluations():
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_em_map_batch_of_no_thetas_is_empty(d):
+    got = em_map_batch(_data(d=d, n=500, seed=6).samples, np.empty((0, d)))
+    assert got.shape == (0, d) and got.dtype == np.float64
+
+
 def test_stop_rule_budget_formula():
     assert StopRule.for_n(10_000).max_iters == 1000
     assert StopRule.for_n(10_000, c_iter=0.25).max_iters == 25
