@@ -10,7 +10,9 @@ order, never completion order. Every cell runs with numpy's BLAS on one
 thread, so ``threads`` sweep workers use that many cores and the bytes of a
 sweep do not depend on the BLAS thread count either. The cells run through
 sample_em's _map_one_blas, as do the groups of the batch map behind the
-deviation probe, which uses all cores the same way.
+deviation probe, which uses all cores the same way. The workers are threads:
+every per-block call of the f_n kernel (projection, tanh, the direct BLAS
+reduction) runs without the GIL, so they do not take turns on the products.
 """
 
 from __future__ import annotations

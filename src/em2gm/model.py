@@ -17,13 +17,20 @@ view of a read-only, C-contiguous (d, n) block, which the kernel walks in
 column blocks of 512 KiB at d = 1 and 1 MiB at d >= 2 (fewer columns for a
 stack of k > d thetas, so that the inner products fit too), set up once per EM
 run: each is projected, put through tanh and reduced while it sits in L2. The
-row-major (n, d) layout measured about twice as slow at d >= 2.
+row-major (n, d) layout measured about twice as slow at d >= 2. Each block's
+reduction is a direct ctypes call of the cblas routine that np.matmul would
+call in numpy's bundled OpenBLAS (same bits), which releases the GIL for the
+product, so sweep threads overlap their reductions; with no such library the
+kernel reduces with np.matmul. This module owns the one lookup of that
+library's routines (_openblas), which sample_em's BLAS thread control uses too.
 sample_dataset fills that block in chunks of 1 MiB of uniforms, one chunk of
 rows at a time, so sampling holds the block and one chunk at its peak.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -197,19 +204,22 @@ _BLOCK_BYTES_1D, _BLOCK_BYTES = 1 << 19, 1 << 20
 
 
 def _kernel(samples: np.ndarray, theta: np.ndarray):
-    # The one kernel, set up once per EM run and used by one thread, so that a
-    # step holds the GIL only between three numpy calls and an add per block:
-    # the column blocks with what to project and a slice of one buffer each,
-    # the accumulators of the block sums, and the checks of the samples and of
-    # theta's shape, (d,) for one theta or (k, d) for a stack of k.
-    # f_n(theta, with_logcosh) -> ((1/n) sum_i y_i tanh(<theta, y_i>) in
-    # theta's shape, sum_i logcosh(<theta, y_i>) for one theta, or None) adds
-    # the block sums in block order from the first, so n within one block
-    # gives the bytes of one product. At d >= 2 the inner products are one
-    # BLAS product per block; at d = 1 an elementwise multiply, as numpy runs
-    # (n, 1) @ (1,) as a per-row loop ten times slower. The bits agree but for
-    # the sign of a zero product at theta = 0, which tanh keeps and the sum
-    # over rows drops.
+    # The one kernel, set up once per EM run and used by one thread: the
+    # column blocks with what to project, a slice of one buffer and the
+    # block's reduction each, the accumulators of the block sums, and the
+    # checks of the samples and of theta's shape, (d,) for one theta or (k, d)
+    # for a stack of k. f_n(theta, with_logcosh) -> ((1/n) sum_i y_i
+    # tanh(<theta, y_i>) in theta's shape, sum_i logcosh(<theta, y_i>) for one
+    # theta, or None) adds the block sums in block order from the first, so n
+    # within one block gives the bytes of one product. At d >= 2 the inner
+    # products are one BLAS product per block; at d = 1 an elementwise
+    # multiply, as numpy runs (n, 1) @ (1,) as a per-row loop ten times
+    # slower. The bits agree but for the sign of a zero product at theta = 0,
+    # which tanh keeps and the sum over rows drops. Per block, the projection
+    # and tanh release the GIL, and so does the reduction when it is a direct
+    # BLAS call (_reductions); np.matmul would hold it for the whole
+    # product, so two sweep threads would take turns. What holds the GIL is
+    # the dispatch of those calls and the add of the block sums.
     n, d = samples.shape
     if n == 0:
         raise ValueError("samples has no rows")
@@ -220,23 +230,122 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
     block = max(1, (_BLOCK_BYTES_1D if d == 1 else _BLOCK_BYTES)
                 // (max((d, *stack)) * samples.itemsize))
     buf = np.empty((min(n, block), *stack), dtype=samples.dtype)
-    blocks = [(rows[:, 0] if flat else rows, rows.T, buf[:rows.shape[0]])
-              for rows in (samples[lo:lo + block] for lo in range(0, n, block))]
-    project = np.multiply if d == 1 else np.matmul
     acc, part = np.empty((d, *stack), samples.dtype), np.empty((d, *stack), samples.dtype)
+    blocks = [(rows[:, 0] if flat else rows, buf[:rows.shape[0]], reduce) for rows, reduce in zip(
+        (samples[lo:lo + block] for lo in range(0, n, block)),
+        _reductions(samples.T, block, buf, acc, part))]
+    project = np.multiply if d == 1 else np.matmul
 
     def f_n(theta: np.ndarray, with_logcosh: bool = False) -> tuple[np.ndarray, float | None]:
         t, lc = theta[0] if flat else theta.T, 0.0 if with_logcosh else None
-        for i, (rows, cols, z) in enumerate(blocks):
+        for i, (rows, z, reduce) in enumerate(blocks):
             project(rows, t, out=z)
             if with_logcosh:
                 lc += float(np.sum(logcosh(z)))
-            np.matmul(cols, np.tanh(z, out=z), out=part if i else acc)
+            np.tanh(z, out=z)
+            reduce()
             if i:
                 np.add(acc, part, out=acc)
         return (acc / n).T, lc
 
     return f_n
+
+
+# Manglings of the OpenBLAS bundled with numpy and the width of its integers:
+# scipy-openblas64 wheels, openblas64_ builds, an LP64 OpenBLAS.
+_OPENBLAS_NAMES = (("scipy_", "64_", ctypes.c_int64), ("", "64_", ctypes.c_int64),
+                   ("", "", ctypes.c_int))
+
+
+@functools.cache
+def _openblas_library() -> ctypes.CDLL | None:
+    # dlsym on numpy's extension module also searches the libraries it links,
+    # which reaches the bundled OpenBLAS
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        return ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+
+
+def _openblas(*names: str):
+    """([routine per name], BLAS integer type) of numpy's OpenBLAS, or None.
+
+    The names are looked up under the first mangling that has them all; with
+    none (another BLAS) the caller keeps to numpy.
+    """
+    lib = _openblas_library()
+    for prefix, suffix, integer in () if lib is None else _OPENBLAS_NAMES:
+        try:
+            return [getattr(lib, prefix + name + suffix) for name in names], integer
+        except AttributeError:
+            continue
+    return None
+
+
+@functools.cache
+def _cblas(dtype: np.dtype):
+    """(gemv, dot, gemm, integer, real) of numpy's OpenBLAS for float32 or
+    float64, typed for ctypes, or None (another dtype or another BLAS)."""
+    letter = {np.dtype(np.float32): "s", np.dtype(np.float64): "d"}.get(np.dtype(dtype))
+    found = letter and _openblas(*(f"cblas_{letter}{name}" for name in ("gemv", "dot", "gemm")))
+    if not found:
+        return None
+    (gemv, dot, gemm), i = found
+    x, e, p = ctypes.c_float if letter == "s" else ctypes.c_double, ctypes.c_int, ctypes.c_void_p
+    gemv.argtypes, gemv.restype = (e, e, i, i, x, p, i, p, i, x, p, i), None
+    dot.argtypes, dot.restype = (i, p, i, p, i), x
+    gemm.argtypes, gemm.restype = (e, e, e, i, i, i, x, p, i, p, i, x, p, i), None
+    return gemv, dot, gemm, i, x
+
+
+_ROW_MAJOR, _NO_TRANS, _TRANS = ctypes.c_int(101), ctypes.c_int(111), ctypes.c_int(112)
+
+
+def _reductions(yt: np.ndarray, block: int, buf: np.ndarray, acc: np.ndarray,
+                part: np.ndarray) -> list:
+    # A call with no arguments per column block of the (d, n) samples yt that
+    # writes cols @ buf[:m] into acc for the first block and into part for
+    # the others, cols the block's (d, m) columns. With numpy's OpenBLAS found
+    # and yt C-contiguous, it is a direct call of the routine np.matmul calls
+    # for these shapes, with the same arguments, so the bits are the same: dot
+    # at d = 1 and one theta (or k = 1), gemv at one theta, gemv of buf
+    # transposed at d = 1, gemm otherwise. ctypes releases the GIL for it.
+    # Every argument is settled here, the block's address by offset from the
+    # first, as each .ctypes lookup costs microseconds.
+    (d, n), k = yt.shape, buf.size // buf.shape[0]
+    cblas = _cblas(yt.dtype) if k and yt.flags.c_contiguous else None
+    if cblas is None:
+        return [functools.partial(np.matmul, yt[:, lo:lo + block], buf[:min(block, n - lo)],
+                                  out=part if lo else acc) for lo in range(0, n, block)]
+    gemv, dot, gemm, i, x = cblas
+    base, b = yt.ctypes.data, ctypes.c_void_p(buf.ctypes.data)
+    outs = [(out, ctypes.c_void_p(out.ctypes.data)) for out in (acc, part)]
+    one, zero, unit, lda, ldb = x(1.0), x(0.0), i(1), i(n), i(k)
+    calls = []
+    for lo in range(0, n, block):
+        m, a = i(min(block, n - lo)), ctypes.c_void_p(base + lo * yt.itemsize)
+        out, c = outs[lo > 0]
+        if d == 1 and k == 1:
+            calls.append(functools.partial(_store, out.reshape(1), dot, m, a, unit, b, unit))
+        elif k == 1:
+            calls.append(functools.partial(gemv, _ROW_MAJOR, _NO_TRANS, i(d), m, one, a, lda, b,
+                                           unit, zero, c, unit))
+        elif d == 1:
+            calls.append(functools.partial(gemv, _ROW_MAJOR, _TRANS, m, ldb, one, b, ldb, a,
+                                           unit, zero, c, unit))
+        else:
+            calls.append(functools.partial(gemm, _ROW_MAJOR, _NO_TRANS, _NO_TRANS, i(d), ldb, m,
+                                           one, a, lda, b, ldb, zero, c, ldb))
+    return calls
+
+
+def _store(into: np.ndarray, routine, *args) -> None:
+    # a routine's return value (dot's) into the one-element into
+    into[0] = routine(*args)
 
 
 def _log_likelihood_from(data: Dataset, theta: np.ndarray, logcosh_sum: float) -> float:

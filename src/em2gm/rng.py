@@ -11,15 +11,17 @@ bits of their results can depend on the BLAS thread count.
 
 Conventions (documented once, here):
 
-* Uniforms are ``(k + 0.5) * 2**-53`` with ``k`` a 53-bit integer, which
-  keeps the inverse normal CDF finite for all but the top k. They are drawn
-  as ``rng.random(shape) + 2**-54`` in place, one array and the same bits:
-  ``Generator.random`` returns ``(x >> 11) * 2**-53`` for each 64-bit draw x,
-  which is the ``k`` of ``integers(0, 2**53)`` (Lemire's method with a
-  power-of-two range never rejects), and adding ``2**-54`` rounds exactly as
-  ``k + 0.5`` does, scaled by a power of two. Both round the half to even
-  once ``k >= 2**52``, so ``k = 2**52`` gives 0.5 and ``k = 2**53 - 1`` gives
-  1.0 (a normal of +inf, which Dataset rejects), each with probability 2**-53.
+* Uniforms are ``(k + 0.5) * 2**-53`` with ``k`` a 53-bit integer, clamped
+  to at most ``1 - 2**-53``, so they lie strictly inside (0, 1) and the
+  inverse normal CDF stays finite. They are drawn as ``rng.random(shape) +
+  2**-54`` in place, one array and the same bits: ``Generator.random``
+  returns ``(x >> 11) * 2**-53`` for each 64-bit draw x, which is the ``k``
+  of ``integers(0, 2**53)`` (Lemire's method with a power-of-two range never
+  rejects), and adding ``2**-54`` rounds exactly as ``k + 0.5`` does, scaled
+  by a power of two. Both round the half to even once ``k >= 2**52``, so
+  ``k = 2**52`` gives 0.5 and ``k = 2**53 - 1`` gives 1.0, each with
+  probability 2**-53; the clamp moves only that 1.0 (a normal of +inf) to
+  ``1 - 2**-53``, the largest double below 1, which no k gives otherwise.
 * Consecutive draws continue the generator's stream in row-major order, so
   drawing an (n, m) array in row chunks gives the bytes of one draw.
 * Normals are produced by the inverse-CDF transform ``ndtri(u)`` of those
@@ -48,10 +50,10 @@ def make_generator(seed: int) -> np.random.Generator:
 
 
 def open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws ``(k + 0.5) * 2**-53``, k a 53-bit integer (see above)."""
+    """Uniform draws ``(k + 0.5) * 2**-53``, k a 53-bit integer, below 1 (see above)."""
     u = rng.random(shape)
     u += 2.0 ** -54
-    return u
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:

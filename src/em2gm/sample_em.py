@@ -15,13 +15,16 @@ matrix products dominate and the narrower dtype roughly doubles throughput.
 em_map, run_em and iterate_em evaluate f_n through model._kernel, which run_em
 and iterate_em set up once per run. A step is one pass over column blocks of
 the feature-major samples (512 KiB at d = 1, 1 MiB at d >= 2), each projected,
-put through tanh and reduced while in L2; run_em takes each iterate's
-log-likelihood from the same pass. A dataset within one block gives the bytes
-of the unblocked sum; larger ones move in their last bits.
+put through tanh and reduced while in L2, each of the three calls free of the
+GIL, so sweep threads overlap; run_em takes each iterate's log-likelihood from
+the same pass. A dataset within one block gives the bytes of the unblocked
+sum; larger ones move in their last bits.
 
 em_map_batch, behind the deviation probe, runs the same kernel on groups of
 thetas, one group per core at a time with BLAS on one thread (_map_one_blas,
 which runs the sweeps' cells too), so its bytes depend only on the inputs.
+The thread count is set through model._openblas, the lookup of the bundled
+OpenBLAS that the kernel's reductions use too.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, _kernel, _log_likelihood_from, loss
+from .model import Dataset, ModelSpec, _kernel, _log_likelihood_from, _openblas, loss
 from .svg import write_table
 
 __all__ = [
@@ -121,28 +124,15 @@ def em_map(data: Dataset, theta) -> np.ndarray:
 def _blas_thread_control():
     """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None.
 
-    dlsym on numpy's extension module also searches the libraries it links,
-    which reaches the bundled OpenBLAS; with no known symbol (another BLAS)
-    the thread count is left alone.
+    With no such routines (another BLAS) the thread count is left alone.
     """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
+    found = _openblas("openblas_get_num_threads", "openblas_set_num_threads")
+    if found is None:
         return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        try:
-            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
-    return None
+    (get, set_), _ = found
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
 
 
 # The BLAS thread count is process-wide: when several user threads run sweeps

@@ -210,6 +210,22 @@ def test_dataset_rejects_nonfinite_samples(bad):
         Dataset(samples=rows, seed=0, spec=spec)
 
 
+class _TopUniformGenerator:
+    # random() at its largest value, 1 - 2**-53, which open_uniforms rounds
+    # up to 1.0 before its clamp
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_sample_dataset_is_finite_at_the_top_uniform(d):
+    with mock.patch.object(model, "make_generator", lambda seed: _TopUniformGenerator()):
+        data = sample_dataset(ModelSpec.along_axis(1.0, d), 1000, 0)
+    # every sign is -1 (a uniform above 1/2), every normal ndtri(1 - 2**-53)
+    assert np.all(np.isfinite(data.samples))
+    assert np.all(data.samples == ndtri(1.0 - 2.0 ** -53) - np.eye(d)[0])
+
+
 def test_loss_symmetries():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from em2gm.rng import derive_seed, make_generator, open_uniforms, standard_normals
 
@@ -20,6 +21,17 @@ def test_different_seeds_differ():
 def test_open_uniforms_strictly_inside_unit_interval():
     u = open_uniforms(make_generator(0), 100_000)
     assert 0.0 < u.min() and u.max() < 1.0
+
+
+def test_open_uniforms_clamps_the_top_value_below_one():
+    # random() values k * 2**-53 for k = 0, 2**52, 2**53 - 2 and 2**53 - 1
+    class Top:
+        def random(self, shape):
+            return np.array([0, 2**52, 2**53 - 2, 2**53 - 1]) * 2.0 ** -53
+
+    got = open_uniforms(Top(), 4)
+    assert got.tolist() == [2.0 ** -54, 0.5, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+    assert np.all(np.isfinite(ndtri(got)))
 
 
 def test_open_uniforms_shape():

@@ -361,9 +361,28 @@ def test_em_map_batch_rows_match_em_map(case):
         assert np.all(np.abs(row - em_map(data, theta)) <= scale)
 
 
+def _without_direct_blas():
+    # the kernel as on a numpy without the bundled OpenBLAS: np.matmul reductions
+    return mock.patch.object(model, "_cblas", lambda dtype: None)
+
+
+_cores_cases = (_batch_cases, st.integers(2, 20), st.integers(1, 8))
+
+
 @settings(max_examples=40, deadline=None)
-@given(_batch_cases, st.integers(2, 20), st.integers(1, 8))
+@given(*_cores_cases)
 def test_em_map_batch_bytes_do_not_depend_on_cores(case, blocks, group):
+    _check_batch_bytes_on_cores(case, blocks, group)
+
+
+@settings(max_examples=20, deadline=None)
+@given(*_cores_cases)
+def test_em_map_batch_bytes_do_not_depend_on_cores_without_direct_blas(case, blocks, group):
+    with _without_direct_blas():
+        _check_batch_bytes_on_cores(case, blocks, group)
+
+
+def _check_batch_bytes_on_cores(case, blocks, group):
     data, thetas = _batch_case(*case)
     n, d = data.n, data.d
     # about ``blocks`` blocks of rows in a full group, the last one short
@@ -552,11 +571,27 @@ def test_f_n_matches_one_shot_float64_means(d, n, s, scale, seed):
     assert np.array_equal(_f_n(data.samples, theta)[0], got)
 
 
+_kernel_cases = (st.integers(1, 12), st.sampled_from([np.float32, np.float64]),
+                 st.integers(0, 60), st.integers(0, 3),
+                 st.one_of(st.integers(-3, 3), st.integers(4, 3000)), st.floats(0.0, 4.0),
+                 st.integers(0, 2**32 - 1))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 12), st.sampled_from([np.float32, np.float64]), st.integers(0, 60),
-       st.integers(0, 3), st.one_of(st.integers(-3, 3), st.integers(4, 3000)),
-       st.floats(0.0, 4.0), st.integers(0, 2**32 - 1))
+@given(*_kernel_cases)
 def test_kernel_matches_blocked_reference_bitwise(d, dtype, k, blocks, offset, scale, seed):
+    _check_kernel_bitwise(d, dtype, k, blocks, offset, scale, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(*_kernel_cases)
+def test_kernel_without_direct_blas_matches_blocked_reference_bitwise(d, dtype, k, blocks,
+                                                                      offset, scale, seed):
+    with _without_direct_blas():
+        _check_kernel_bitwise(d, dtype, k, blocks, offset, scale, seed)
+
+
+def _check_kernel_bitwise(d, dtype, k, blocks, offset, scale, seed):
     # one theta (k = 0) or a stack of k; n at and around block edges, a
     # ragged last block included
     n = max(1, blocks * _block(d, dtype, max(k, 1)) + offset)
@@ -573,6 +608,54 @@ def test_kernel_matches_blocked_reference_bitwise(d, dtype, k, blocks, offset, s
     again = f_n(theta[::-1].copy())[0]
     assert again.tobytes() == _f_n_by_blocks(yt, theta[::-1].copy())[0].tobytes()
     assert got.tobytes() == want.tobytes()
+
+
+def _counting_cblas(calls):
+    # model._cblas whose routines record their names in calls
+    cblas = model._cblas
+
+    def counted(dtype):
+        found = cblas(dtype)
+        if found is None:
+            return None
+        *routines, integer, real = found
+        return (*(lambda *a, name=name, r=r: calls.append(name) or r(*a)
+                  for name, r in zip(("gemv", "dot", "gemm"), routines)), integer, real)
+    return counted
+
+
+@pytest.mark.parametrize("direct", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d, k, routine", [(1, 0, "dot"), (1, 1, "dot"), (1, 7, "gemv"),
+                                           (2, 0, "gemv"), (2, 1, "gemv"), (2, 7, "gemm"),
+                                           (10, 0, "gemv"), (10, 1, "gemv"), (10, 7, "gemm")])
+def test_kernel_makes_one_direct_blas_call_per_block(direct, dtype, d, k, routine):
+    # the routine np.matmul would call, once per block and pass, with the
+    # bytes of the np.matmul reduction; three blocks of 40 columns and a
+    # short tail of 3, at theta and at its negative
+    if direct and model._cblas(np.dtype(dtype)) is None:
+        pytest.skip("numpy's BLAS routines were not found")
+    nbytes = 40 * max(d, k, 1) * np.dtype(dtype).itemsize
+    yt = np.ascontiguousarray(_data(s=1.0, d=d, n=123, seed=75).samples.T, dtype=dtype)
+    theta = np.random.default_rng(75).normal(size=(k, d) if k else d).astype(dtype)
+    calls = []
+    cblas = _counting_cblas(calls) if direct else lambda dtype: None
+    with _blocks_of(nbytes), mock.patch.object(model, "_cblas", cblas):
+        f_n = model._kernel(yt.T, theta)
+        for th in (theta, -theta):
+            assert f_n(th)[0].tobytes() == _f_n_by_blocks(yt, th, nbytes)[0].tobytes()
+    assert calls == ([routine] * 8 if direct else [])
+
+
+def test_openblas_routines_are_found_on_scipy_openblas():
+    # a renamed symbol would silently drop the direct reductions and the
+    # BLAS thread control
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}")
+    assert sample_em._blas_thread_control() is not None
+    assert model._cblas(np.dtype(np.float32)) is not None
+    assert model._cblas(np.dtype(np.float64)) is not None
 
 
 def test_iterate_em_on_two_threads_switching_often_matches_serial():
