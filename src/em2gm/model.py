@@ -20,11 +20,14 @@ run: each is projected, put through tanh and reduced while it sits in L2. The
 row-major (n, d) layout measured about twice as slow at d >= 2. Each block's
 reduction is a direct ctypes call of the cblas routine that np.matmul would
 call in numpy's bundled OpenBLAS (same bits), which releases the GIL for the
-product, so sweep threads overlap their reductions; with no such library the
-kernel reduces with np.matmul. This module owns the one lookup of that
+product, so sweep threads overlap their reductions; with no such library, or
+for a block of one column, where np.matmul calls no BLAS, the kernel reduces
+with np.matmul. This module owns the one lookup of that
 library's routines (_openblas), which sample_em's BLAS thread control uses too.
 sample_dataset fills that block in chunks of 1 MiB of uniforms, one chunk of
-rows at a time, so sampling holds the block and one chunk at its peak.
+rows at a time, and Dataset checks it and sums its squared row norms one
+leaf of rows at a time (same bits as one pass), so sampling holds the block
+and one chunk at its peak.
 """
 
 from __future__ import annotations
@@ -109,10 +112,17 @@ class Dataset:
     transpose view of a read-only, C-contiguous (d, n) array, so
     ``samples.T`` is what the EM kernel streams (see the module docstring).
     Samples given in any other layout, or writable, are copied once into this
-    form. Non-finite samples are rejected. ``mean_sq_norm`` is the constant
-    (1/n) sum_i |y_i|^2 of the log-likelihood, computed once here; the
-    instance may be shared across sweep threads, and nothing about it changes
-    after construction.
+    form. ``mean_sq_norm`` is the constant (1/n) sum_i |y_i|^2 of the
+    log-likelihood, computed once here; the instance may be shared across
+    sweep threads, and nothing about it changes after construction.
+
+    One pass over leaves of rows, each at most _BLOCK_BYTES of samples (and
+    at least 128 rows), rejects non-finite samples and sums the squared row
+    norms, so construction needs O(leaf) memory beyond the samples, not
+    O(n d). Ranges of more rows than a leaf split in half, less the half's
+    remainder mod 8: that is where numpy's pairwise summation splits, so
+    ``mean_sq_norm`` equals ``np.mean(np.einsum("ij,ij->i", samples,
+    samples))`` bit for bit, and so does every log-likelihood built on it.
     """
 
     samples: np.ndarray
@@ -125,15 +135,16 @@ class Dataset:
             raise ValueError("samples must be a nonempty n x d matrix")
         if self.samples.shape[1] != self.spec.d:
             raise ValueError("sample dimension does not match spec.d")
-        if not np.isfinite(self.samples).all():
-            raise ValueError("samples must be finite")
         y = self.samples
         if y.flags.writeable or not y.T.flags.c_contiguous:
             yt = np.array(y.T, order="C")
             yt.setflags(write=False)
             y = yt.T
             object.__setattr__(self, "samples", y)
-        object.__setattr__(self, "mean_sq_norm", float(np.mean(np.einsum("ij,ij->i", y, y))))
+        # numpy sums runs of up to 128 values in eight lanes, so only longer
+        # ranges may split
+        leaf = max(128, _BLOCK_BYTES // (y.shape[1] * y.itemsize))
+        object.__setattr__(self, "mean_sq_norm", float(_sum_sq_norms(y, leaf) / y.shape[0]))
 
     @property
     def n(self) -> int:
@@ -142,6 +153,18 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.samples.shape[1]
+
+
+def _sum_sq_norms(rows: np.ndarray, leaf: int):
+    # sum_i |y_i|^2 over the (m, d) rows, with the bits of np.add.reduce over
+    # all m squared norms (see Dataset); raises on a non-finite sample
+    m = rows.shape[0]
+    if m > leaf:
+        h = m // 2 - m // 2 % 8
+        return _sum_sq_norms(rows[:h], leaf) + _sum_sq_norms(rows[h:], leaf)
+    if not np.isfinite(rows).all():
+        raise ValueError("samples must be finite")
+    return np.add.reduce(np.einsum("ij,ij->i", rows, rows))
 
 
 def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
@@ -315,12 +338,19 @@ def _reductions(yt: np.ndarray, block: int, buf: np.ndarray, acc: np.ndarray,
     # at d = 1 and one theta (or k = 1), gemv at one theta, gemv of buf
     # transposed at d = 1, gemm otherwise. ctypes releases the GIL for it.
     # Every argument is settled here, the block's address by offset from the
-    # first, as each .ctypes lookup costs microseconds.
+    # first, as each .ctypes lookup costs microseconds. A block of one column
+    # is reduced by np.matmul itself: for an inner dimension of 1 numpy runs
+    # its own loop, which sums from +0 and so turns a -0 product into +0,
+    # where gemv and gemm keep the -0.
     (d, n), k = yt.shape, buf.size // buf.shape[0]
     cblas = _cblas(yt.dtype) if k and yt.flags.c_contiguous else None
+
+    def by_matmul(lo: int):
+        return functools.partial(np.matmul, yt[:, lo:lo + block], buf[:min(block, n - lo)],
+                                 out=part if lo else acc)
+
     if cblas is None:
-        return [functools.partial(np.matmul, yt[:, lo:lo + block], buf[:min(block, n - lo)],
-                                  out=part if lo else acc) for lo in range(0, n, block)]
+        return [by_matmul(lo) for lo in range(0, n, block)]
     gemv, dot, gemm, i, x = cblas
     base, b = yt.ctypes.data, ctypes.c_void_p(buf.ctypes.data)
     outs = [(out, ctypes.c_void_p(out.ctypes.data)) for out in (acc, part)]
@@ -329,7 +359,9 @@ def _reductions(yt: np.ndarray, block: int, buf: np.ndarray, acc: np.ndarray,
     for lo in range(0, n, block):
         m, a = i(min(block, n - lo)), ctypes.c_void_p(base + lo * yt.itemsize)
         out, c = outs[lo > 0]
-        if d == 1 and k == 1:
+        if m.value == 1:
+            calls.append(by_matmul(lo))
+        elif d == 1 and k == 1:
             calls.append(functools.partial(_store, out.reshape(1), dot, m, a, unit, b, unit))
         elif k == 1:
             calls.append(functools.partial(gemv, _ROW_MAJOR, _NO_TRANS, i(d), m, one, a, lda, b,

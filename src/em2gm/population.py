@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -44,7 +43,6 @@ from scipy.special import ndtr
 __all__ = [
     "QuadratureRule",
     "build_rule",
-    "default_rule",
     "PopulationState",
     "f_pop",
     "q_pop",
@@ -108,12 +106,6 @@ def build_rule(order: int = 80) -> QuadratureRule:
     """Quadrature rule of the given Gauss-Hermite order (default 80)."""
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
-
-
-@lru_cache(maxsize=8)
-def default_rule(order: int = 80) -> QuadratureRule:
-    """Shared rule instance; rules are immutable so caching is safe."""
-    return build_rule(order)
 
 
 def _tanh_kernels(m: float, r: float, rule: QuadratureRule) -> tuple[float, float]:

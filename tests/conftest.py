@@ -1,11 +1,12 @@
 import pytest
 
-from em2gm.population import build_rule, default_rule
+from em2gm.population import build_rule
 
 
 @pytest.fixture(scope="session")
 def rule():
-    return default_rule()
+    # the default order-80 rule, built once and shared: rules are immutable
+    return build_rule()
 
 
 @pytest.fixture(scope="session")

@@ -141,11 +141,12 @@ def test_sample_dataset_is_the_one_shot_recipe_across_chunks(spec, rows, chunks,
     assert got.samples.T.tobytes() == sample_rows_reference(spec, n, seed).T.tobytes()
 
 
-@pytest.mark.parametrize("d, s", [(1, 0.0), (2, 1.0)])
+@pytest.mark.parametrize("d, s", [(1, 0.0), (2, 1.0), (10, 0.3)])
 def test_sample_dataset_peak_memory_is_the_block_and_one_chunk(d, s):
-    # the (d, n) block, the row-norm vector of mean_sq_norm and 2 MiB for one
-    # 1 MiB chunk of uniforms and its signs
-    n, spec = 1_000_000, ModelSpec.along_axis(s, d)
+    # the (d, n) block and 2 MiB for one 1 MiB chunk of uniforms and its
+    # signs, or for one leaf of Dataset's finite check and row-norm sum;
+    # n = 1e5 at d = 10 as in the risk-10d cells
+    n, spec = (100_000 if d == 10 else 1_000_000), ModelSpec.along_axis(s, d)
     sample_dataset(spec, 1000, 0)
     tracemalloc.start()
     try:
@@ -153,7 +154,7 @@ def test_sample_dataset_peak_memory_is_the_block_and_one_chunk(d, s):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n * d * 8 + n * 8 + 2 * 2**20
+    assert peak <= n * d * 8 + 2 * 2**20
 
 
 @pytest.mark.parametrize("theta_star, n, seed, digest", [
@@ -193,6 +194,68 @@ def test_squared_norm_term_is_the_row_major_expression(d):
     assert log_likelihood(data, theta) == pytest.approx(want, rel=1e-15)
     if d == 1:
         assert log_likelihood(data, theta) == want
+
+
+@st.composite
+def _layouts(draw):
+    # (samples, the leaf bytes to patch in): a sampled (d, n) block, or rows
+    # in a layout that Dataset copies, over n from 1 to several leaves; leaf
+    # bytes below 128 rows exercise the 128-row floor
+    d = draw(st.integers(1, 12))
+    nbytes = draw(st.integers(8, 400 * d * 8))
+    n = draw(st.integers(1, 6 * max(128, nbytes // (d * 8))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["sampled", "c_rows", "f_rows", "strided", "read_only_rows"]))
+    if kind == "sampled":
+        with mock.patch.object(model, "_BLOCK_BYTES", nbytes):
+            return sample_dataset(ModelSpec.along_axis(0.8, d), n, seed).samples, nbytes
+    rows = 3.0 * np.random.default_rng(seed).standard_normal((2 * n, d))
+    if kind == "c_rows":
+        rows = rows[:n].copy()
+    elif kind == "f_rows":
+        rows = np.asfortranarray(rows[:n])
+    elif kind == "strided":
+        rows = rows[::2]
+    else:
+        rows = rows[:n].copy()
+        rows.setflags(write=False)
+    return rows, nbytes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layouts())
+def test_mean_sq_norm_is_the_one_shot_expression_bitwise(layout):
+    samples, nbytes = layout
+    spec = ModelSpec.along_axis(1.0, samples.shape[1])
+    with mock.patch.object(model, "_BLOCK_BYTES", nbytes):
+        data = Dataset(samples=samples, seed=0, spec=spec)
+    rows = data.samples
+    assert rows.tobytes() == np.ascontiguousarray(samples).tobytes()
+    want = float(np.mean(np.einsum("ij,ij->i", rows, rows)))
+    assert data.mean_sq_norm.hex() == want.hex()
+
+
+@pytest.mark.parametrize("copied", [False, True])
+def test_dataset_finds_nonfinite_samples_in_every_leaf(copied):
+    # leaves of 128 rows: n = 5 * 128 + 37 splits into 8 leaves of 80 to 93
+    # rows, the last of 93; a NaN or an infinity at any row raises, in a
+    # sampled (d, n) block or in writable C-ordered rows that Dataset copies
+    d, n = 3, 5 * 128 + 37
+    spec = ModelSpec.along_axis(1.0, d)
+    rows = sample_dataset(spec, n, 4).samples
+    with mock.patch.object(model, "_BLOCK_BYTES", 128 * d * 8):
+        assert Dataset(samples=rows, seed=4, spec=spec).samples is rows
+        for i in range(n):
+            for bad in (math.nan, math.inf, -math.inf):
+                yt = rows.T.copy()
+                yt[i % d, i] = bad
+                if copied:
+                    samples = np.ascontiguousarray(yt.T)
+                else:
+                    yt.setflags(write=False)
+                    samples = yt.T
+                with pytest.raises(ValueError, match="finite"):
+                    Dataset(samples=samples, seed=4, spec=spec)
 
 
 def test_dataset_validates_dimension():
@@ -240,6 +303,21 @@ def test_loss_triangle_inequality_on_sign_quotient():
     for _ in range(200):
         a, b, c = rng.normal(size=(3, 5))
         assert loss(a, c) <= loss(a, b) + loss(b, c) + 1e-12
+
+
+_coords = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+    *(st.lists(_coords, min_size=d, max_size=d).map(np.array) for _ in range(3)))))
+def test_loss_is_a_metric_on_the_sign_quotient(vectors):
+    a, b, c = vectors
+    assert loss(a, b) == loss(b, a)
+    assert loss(a, b) == loss(-a, b) == loss(a, -b) == loss(-a, -b)
+    assert loss(a, a) == loss(a, -a) == 0.0
+    scale = float(np.linalg.norm(a) + np.linalg.norm(b) + np.linalg.norm(c))
+    assert loss(a, c) <= loss(a, b) + loss(b, c) + 1e-12 * scale
 
 
 def test_loss_of_zero_estimator_is_exactly_s():

@@ -610,6 +610,20 @@ def _check_kernel_bitwise(d, dtype, k, blocks, offset, scale, seed):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d, k", [(1, 0), (1, 3), (2, 0), (2, 1), (10, 0), (10, 4)])
+def test_kernel_keeps_numpys_zero_signs_in_a_one_column_block(d, k, dtype):
+    # one sample, at a theta so small that its products underflow to zeros
+    # of either sign: np.matmul runs its own loop for a block of one column
+    # and gives +0 where BLAS keeps -0 (hypothesis found it at d = 10)
+    yt = np.ascontiguousarray(sample_dataset(ModelSpec.along_axis(1.0, d), 1, 0).samples.T,
+                              dtype=dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    theta = (tiny * np.random.default_rng(0).normal(size=(k, d) if k else d)).astype(dtype)
+    for t in (theta, -theta):
+        assert _f_n(yt.T, t)[0].tobytes() == _f_n_by_blocks(yt, t)[0].tobytes()
+
+
 def _counting_cblas(calls):
     # model._cblas whose routines record their names in calls
     cblas = model._cblas
