@@ -25,7 +25,7 @@ import numpy as np
 from . import deviation as dev
 from . import experiments as exp
 from .initializers import InitSpec, make_init
-from .model import ModelSpec, sample_dataset
+from .model import ModelSpec, SampleStream, sample_dataset
 from .population import PopulationState, build_rule, invert_q, population_trajectory, sandwich_sequences
 from .rng import derive_seed
 from .sample_em import StopRule, run_em
@@ -327,7 +327,7 @@ def _cmd_sandwich(cfg: dict, out: Path) -> str:
 def _cmd_deviation(cfg: dict, out: Path) -> str:
     rule = build_rule(cfg["order"])
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
-    data = sample_dataset(spec, cfg["n"], cfg["seed"])
+    data = SampleStream(spec, cfg["n"], cfg["seed"])
     grid = dev.default_probe_grid(spec, derive_seed(cfg["seed"], 1),
                                   n_directions=cfg["directions"], n_radii=cfg["radii"])
     probe = dev.relative_lipschitz_probe(data, spec, grid, rule)

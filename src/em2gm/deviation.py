@@ -14,6 +14,11 @@ whose antiderivative is explicit in Phi and phi, so the integral of
 |F_n - F| is evaluated exactly between order statistics (the only work is a
 vectorized bisection for the pieces where F crosses the empirical level)
 plus an analytic tail. No quadrature error enters anywhere.
+
+The grid probe evaluates f_n at every probe point in one walk of the batch
+map over the samples. Given a model.SampleStream instead of a Dataset, it
+draws them block by block on every core and holds O(block x cores) samples
+instead of n x d, with the same bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .model import Dataset, ModelSpec
+from .model import Dataset, ModelSpec, SampleStream
 from .population import F_pop, G_pop, QuadratureRule, _phi
 from .rng import make_generator, standard_normals
 from .sample_em import em_map_batch
@@ -123,12 +128,16 @@ def population_map_ddim(theta, spec: ModelSpec, rule: QuadratureRule) -> np.ndar
     return out
 
 
-def relative_lipschitz_probe(data: Dataset, spec: ModelSpec, grid: ProbeGrid,
+def relative_lipschitz_probe(data: Dataset | SampleStream, spec: ModelSpec, grid: ProbeGrid,
                              rule: QuadratureRule) -> DeviationProbe:
-    """Evaluate |f_n(theta) - f(theta)| / |theta| on the grid, report the sup."""
+    """Evaluate |f_n(theta) - f(theta)| / |theta| on the grid, report the sup.
+
+    ``data`` is a Dataset, or the SampleStream of the same (spec, n, seed),
+    which gives the same bytes and never holds the n x d samples.
+    """
     thetas = grid.thetas()
     k, m = grid.directions.shape[0], grid.radii.shape[0]
-    fn = em_map_batch(data.samples, thetas)
+    fn = em_map_batch(data if isinstance(data, SampleStream) else data.samples, thetas)
     radii = np.tile(grid.radii, k)
     gaps = [np.linalg.norm(f - population_map_ddim(t, spec, rule)) for f, t in zip(fn, thetas)]
     ratios = np.array(gaps) / radii

@@ -9,7 +9,7 @@ across reruns and across any parallel schedule; rows are merged in task-key
 order, never completion order. Every cell runs with numpy's BLAS on one
 thread, so ``threads`` sweep workers use that many cores and the bytes of a
 sweep do not depend on the BLAS thread count either. The cells run through
-sample_em's _map_one_blas, as do the groups of the batch map behind the
+sample_em's _map_one_blas, as do the blocks of the batch map behind the
 deviation probe, which uses all cores the same way. The workers are threads:
 every per-block call of the f_n kernel (projection, tanh, the direct BLAS
 reduction) runs without the GIL, so they do not take turns on the products.
@@ -29,7 +29,7 @@ from .initializers import InitSpec, make_init, spectral_init
 from .model import Dataset, ModelSpec, log_likelihood, loss, sample_dataset
 from .population import PopulationState, QuadratureRule, f_pop, population_trajectory
 from .rng import derive_seed
-from .sample_em import StopRule, _map_one_blas, iterate_em, run_em
+from .sample_em import StopRule, _iterates, _map_one_blas, iterate_em
 from .svg import write_json, write_table
 
 __all__ = [
@@ -345,10 +345,10 @@ def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,
         warnings.warn(
             f"s={spec.s:.4g} is below the contraction scale {scale:.4g}; "
             "the MLE proxy may not contract", stacklevel=2)
-    total = burn_in + extra + 50
-    traj = run_em(data, make_init(init, data), StopRule(max_iters=total, rel_tol=0.0),
-                  spec, keep_iterates=True)
-    iters = traj.iterates
+    # run_em's iterates without its log-likelihood pass, which nothing here reads
+    theta0 = np.asarray(make_init(init, data), dtype=np.float64)
+    iters = np.array([theta0, *_iterates(data.samples, theta0,
+                                          StopRule(max_iters=burn_in + extra + 50, rel_tol=0.0))])
     theta_inf = iters[-1]
     dist = np.linalg.norm(iters - theta_inf[None, :], axis=1)
     cutoff = 1e-10 * max(1.0, float(np.linalg.norm(theta_inf)))

@@ -7,7 +7,7 @@ global sign flip, so estimation error is always measured by
     loss(a, b) = min(|a - b|, |a + b|)
 
 in the Euclidean norm. This module owns the ground truth (ModelSpec), the
-sampler (Dataset), the loss, the average log-likelihood and its gradient, and
+sampler (SampleStream, and Dataset, the samples held), the loss, the average log-likelihood and its gradient, and
 the chi-square divergence to the standard normal. The likelihood, its gradient,
 the EM map and its batch form share one kernel, _kernel, so em_map = theta +
 grad holds bitwise.
@@ -24,10 +24,13 @@ product, so sweep threads overlap their reductions; with no such library, or
 for a block of one column, where np.matmul calls no BLAS, the kernel reduces
 with np.matmul. This module owns the one lookup of that
 library's routines (_openblas), which sample_em's BLAS thread control uses too.
-sample_dataset fills that block in chunks of 1 MiB of uniforms, one chunk of
-rows at a time, and Dataset checks it and sums its squared row norms one
-leaf of rows at a time (same bits as one pass), so sampling holds the block
-and one chunk at its peak.
+There is one sampler, _draw_rows: SampleStream draws any range of rows with
+it from a generator positioned at its first row and checks them finite, so
+the batch map's workers draw their own blocks of one stream and the
+deviation probe never holds all n rows. sample_dataset fills the (d, n)
+block from the same stream in chunks of 1 MiB of uniforms, and Dataset
+checks it and sums its squared row norms one leaf of rows at a time (same
+bits as one pass), so sampling holds the block and one chunk at its peak.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .rng import make_generator, open_uniforms
 __all__ = [
     "ModelSpec",
     "Dataset",
+    "SampleStream",
     "sample_dataset",
     "loss",
     "logcosh",
@@ -170,12 +174,10 @@ def _sum_sq_norms(rows: np.ndarray, leaf: int):
 def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
     """Draw n iid samples from the mixture, deterministically in ``seed``.
 
-    Row i consumes d+1 uniforms: one for the sign, d for the normal vector.
-    The rows are drawn in chunks of _BLOCK_BYTES of uniforms, which continue
-    one stream, and each chunk's normals are written straight into its
-    columns of the feature-major (d, n) block, so the values are those of the
-    row-major recipe over all n rows and peak memory is the block plus one
-    chunk.
+    The rows are those of SampleStream(spec, n, seed), drawn by the same
+    _draw_rows in chunks of _BLOCK_BYTES of uniforms straight into their
+    columns of the feature-major (d, n) block, so peak memory is the block
+    plus one chunk. Dataset checks them finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -186,6 +188,42 @@ def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
         _draw_rows(rng, spec.theta_star, yt[:, lo:lo + chunk])
     yt.setflags(write=False)
     return Dataset(samples=yt.T, seed=int(seed), spec=spec)
+
+
+@dataclass(frozen=True)
+class SampleStream:
+    """The n rows that sample_dataset(spec, n, seed) holds, drawn on demand.
+
+    Row i consumes d+1 uniforms of the seed's stream: one for the sign, d for
+    the normal vector. ``reader(lo)`` positions a generator at row lo, so
+    workers can each draw their own rows of one stream, and any split into
+    row ranges gives the bytes of one draw. ``shape`` is the (n, d) of the
+    samples, so the batch map takes a stream where it takes an array.
+    """
+
+    spec: ModelSpec
+    n: int
+    seed: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.spec.d
+
+    def reader(self, lo: int):
+        """read(cols) fills the (d, m) column buffer cols with the next m rows
+        from row lo on and raises ValueError if a sample is not finite."""
+        rng = make_generator(self.seed, lo * (self.spec.d + 1))
+
+        def read(cols: np.ndarray) -> None:
+            _draw_rows(rng, self.spec.theta_star, cols)
+            if not np.isfinite(cols).all():
+                raise ValueError("samples must be finite")
+
+        return read
 
 
 def _draw_rows(rng: np.random.Generator, theta_star: np.ndarray, cols: np.ndarray) -> None:
@@ -231,10 +269,11 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
     # column blocks with what to project, a slice of one buffer and the
     # block's reduction each, the accumulators of the block sums, and the
     # checks of the samples and of theta's shape, (d,) for one theta or (k, d)
-    # for a stack of k. f_n(theta, with_logcosh) -> ((1/n) sum_i y_i
-    # tanh(<theta, y_i>) in theta's shape, sum_i logcosh(<theta, y_i>) for one
-    # theta, or None) adds the block sums in block order from the first, so n
-    # within one block gives the bytes of one product. At d >= 2 the inner
+    # for a stack of k. f_n(theta, with_logcosh) -> (sum_i y_i tanh(<theta,
+    # y_i>) in theta's shape, sum_i logcosh(<theta, y_i>) for one theta, or
+    # None) adds the block sums in block order from the first, so n within one
+    # block gives the bytes of one product. Callers divide the sum by n;
+    # em_map_batch adds the sums of one-block kernels itself. At d >= 2 the inner
     # products are one BLAS product per block; at d = 1 an elementwise
     # multiply, as numpy runs (n, 1) @ (1,) as a per-row loop ten times
     # slower. The bits agree but for the sign of a zero product at theta = 0,
@@ -250,8 +289,7 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
     stack = theta.shape[:-1]  # () for one theta, (k,) for k of them
     flat = d == 1 and not stack  # project one column by one number
-    block = max(1, (_BLOCK_BYTES_1D if d == 1 else _BLOCK_BYTES)
-                // (max((d, *stack)) * samples.itemsize))
+    block = _block(d, stack[0] if stack else 1, samples.itemsize)
     buf = np.empty((min(n, block), *stack), dtype=samples.dtype)
     acc, part = np.empty((d, *stack), samples.dtype), np.empty((d, *stack), samples.dtype)
     blocks = [(rows[:, 0] if flat else rows, buf[:rows.shape[0]], reduce) for rows, reduce in zip(
@@ -269,9 +307,14 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
             reduce()
             if i:
                 np.add(acc, part, out=acc)
-        return (acc / n).T, lc
+        return acc.T.copy(), lc
 
     return f_n
+
+
+def _block(d: int, k: int, itemsize: int) -> int:
+    # columns per kernel block for k thetas at dimension d
+    return max(1, (_BLOCK_BYTES_1D if d == 1 else _BLOCK_BYTES) // (max(d, k) * itemsize))
 
 
 # Manglings of the OpenBLAS bundled with numpy and the width of its integers:
@@ -333,8 +376,9 @@ def _reductions(yt: np.ndarray, block: int, buf: np.ndarray, acc: np.ndarray,
     # A call with no arguments per column block of the (d, n) samples yt that
     # writes cols @ buf[:m] into acc for the first block and into part for
     # the others, cols the block's (d, m) columns. With numpy's OpenBLAS found
-    # and yt C-contiguous, it is a direct call of the routine np.matmul calls
-    # for these shapes, with the same arguments, so the bits are the same: dot
+    # and yt's rows contiguous, it is a direct call of the routine np.matmul
+    # calls for these shapes, with the same arguments (the leading dimension
+    # is yt's row stride), so the bits are the same: dot
     # at d = 1 and one theta (or k = 1), gemv at one theta, gemv of buf
     # transposed at d = 1, gemm otherwise. ctypes releases the GIL for it.
     # Every argument is settled here, the block's address by offset from the
@@ -342,8 +386,9 @@ def _reductions(yt: np.ndarray, block: int, buf: np.ndarray, acc: np.ndarray,
     # is reduced by np.matmul itself: for an inner dimension of 1 numpy runs
     # its own loop, which sums from +0 and so turns a -0 product into +0,
     # where gemv and gemm keep the -0.
-    (d, n), k = yt.shape, buf.size // buf.shape[0]
-    cblas = _cblas(yt.dtype) if k and yt.flags.c_contiguous else None
+    (d, n), k, item = yt.shape, buf.size // buf.shape[0], yt.itemsize
+    rows_ok = yt.strides[1] == item and (d == 1 or yt.strides[0] >= n * item)
+    cblas = _cblas(yt.dtype) if k and rows_ok else None
 
     def by_matmul(lo: int):
         return functools.partial(np.matmul, yt[:, lo:lo + block], buf[:min(block, n - lo)],
@@ -354,10 +399,10 @@ def _reductions(yt: np.ndarray, block: int, buf: np.ndarray, acc: np.ndarray,
     gemv, dot, gemm, i, x = cblas
     base, b = yt.ctypes.data, ctypes.c_void_p(buf.ctypes.data)
     outs = [(out, ctypes.c_void_p(out.ctypes.data)) for out in (acc, part)]
-    one, zero, unit, lda, ldb = x(1.0), x(0.0), i(1), i(n), i(k)
+    one, zero, unit, lda, ldb = x(1.0), x(0.0), i(1), i(yt.strides[0] // item), i(k)
     calls = []
     for lo in range(0, n, block):
-        m, a = i(min(block, n - lo)), ctypes.c_void_p(base + lo * yt.itemsize)
+        m, a = i(min(block, n - lo)), ctypes.c_void_p(base + lo * item)
         out, c = outs[lo > 0]
         if m.value == 1:
             calls.append(by_matmul(lo))
@@ -401,7 +446,7 @@ def log_likelihood(data: Dataset, theta) -> float:
 def grad_log_likelihood(data: Dataset, theta) -> np.ndarray:
     """Gradient of the average log-likelihood: -theta + E_n[Y tanh<theta, Y>]."""
     theta = np.asarray(theta, dtype=np.float64)
-    return _kernel(data.samples, theta)(theta)[0] - theta
+    return _kernel(data.samples, theta)(theta)[0] / data.n - theta
 
 
 def chi2_to_standard(theta) -> float:

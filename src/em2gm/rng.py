@@ -6,8 +6,10 @@ reproducible bit for bit from its seed. Sweeps (``rate_sweep``,
 ``risk_compare``) are then bit-identical on one machine regardless of how the
 work is scheduled across replicates or how many threads BLAS has, because
 their cells run BLAS on one thread, and so does the deviation probe's batch
-map. trajectory and mle-probe keep the threaded BLAS, so at d >= 2 the last
-bits of their results can depend on the BLAS thread count.
+map, whose workers each draw their own rows of one stream from a generator
+positioned at their first row. trajectory and mle-probe keep the threaded
+BLAS, so at d >= 2 the last bits of their results can depend on the BLAS
+thread count.
 
 Conventions (documented once, here):
 
@@ -23,7 +25,11 @@ Conventions (documented once, here):
   probability 2**-53; the clamp moves only that 1.0 (a normal of +inf) to
   ``1 - 2**-53``, the largest double below 1, which no k gives otherwise.
 * Consecutive draws continue the generator's stream in row-major order, so
-  drawing an (n, m) array in row chunks gives the bytes of one draw.
+  drawing an (n, m) array in row chunks gives the bytes of one draw, and a
+  generator made with ``make_generator(seed, skip)`` continues the stream
+  after its first ``skip`` draws: Philox makes four 64-bit draws per counter
+  value, so it advances the counter by ``skip // 4`` and draws and drops the
+  remaining ``skip % 4``.
 * Normals are produced by the inverse-CDF transform ``ndtri(u)`` of those
   uniforms, not by Box-Muller or ziggurat rejection, so the mapping from seed
   to sample is a pure function with no data-dependent consumption.
@@ -44,9 +50,13 @@ __all__ = [
 ]
 
 
-def make_generator(seed: int) -> np.random.Generator:
-    """Philox generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+def make_generator(seed: int, skip: int = 0) -> np.random.Generator:
+    """Philox generator keyed by a 64-bit seed, positioned after ``skip`` draws."""
+    bits = np.random.Philox(key=np.uint64(seed))
+    bits.advance(skip // 4)
+    rng = np.random.Generator(bits)
+    rng.random(skip % 4)
+    return rng
 
 
 def open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:

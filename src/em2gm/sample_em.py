@@ -21,10 +21,11 @@ the same pass. A dataset within one block gives the bytes of the unblocked
 sum; larger ones move in their last bits.
 
 em_map_batch, behind the deviation probe, runs the same kernel on groups of
-thetas, one group per core at a time with BLAS on one thread (_map_one_blas,
-which runs the sweeps' cells too), so its bytes depend only on the inputs.
-The thread count is set through model._openblas, the lookup of the bundled
-OpenBLAS that the kernel's reductions use too.
+thetas in one walk over blocks of rows, from an array or drawn from a
+model.SampleStream; the blocks are split across the cores with BLAS on one
+thread (_map_one_blas, which runs the sweeps' cells too), so its bytes depend
+only on the inputs. The thread count is set through model._openblas, the
+lookup of the bundled OpenBLAS that the kernel's reductions use too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, _kernel, _log_likelihood_from, _openblas, loss
+from .model import (Dataset, ModelSpec, SampleStream, _block, _kernel, _log_likelihood_from,
+                    _openblas, loss)
 from .svg import write_table
 
 __all__ = [
@@ -117,7 +119,7 @@ class Trajectory:
 def em_map(data: Dataset, theta) -> np.ndarray:
     """One EM step: f_n(theta) = (1/n) sum_i y_i tanh(<theta, y_i>)."""
     theta = np.asarray(theta, dtype=np.float64)
-    return _kernel(data.samples, theta)(theta)[0]
+    return _kernel(data.samples, theta)(theta)[0] / data.n
 
 
 @functools.cache
@@ -176,19 +178,83 @@ def _map_one_blas(fn, items, threads: int) -> list:
 _GROUP = 48
 
 
-def em_map_batch(samples: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def em_map_batch(samples, thetas) -> np.ndarray:
     """f_n evaluated at many points at once; thetas is (k, d), result (k, d).
 
-    k may be 0, which gives an empty (0, d) result.
+    ``samples`` is the (n, d) array of samples or a model.SampleStream, which
+    draws them block by block and never holds all n rows. k may be 0, which
+    gives an empty (0, d) result.
 
-    Each group of _GROUP thetas is one pass of model._kernel over the samples
-    in column blocks; the groups run on os.cpu_count() threads with BLAS on
-    one thread, so the bytes depend only on the inputs.
+    The thetas run in groups of _GROUP, each a pass of model._kernel over one
+    block of rows. One walk over the blocks applies every group to a block
+    while it sits in L2 and keeps the block's sums; a short last group takes
+    its own walk (drawing a stream again), as the kernel gives it longer
+    blocks. The blocks are split across os.cpu_count() workers with BLAS on
+    one thread, and the block sums are added in block order at the end: the
+    additions of one kernel pass per group over all n rows, so the bytes are
+    those and depend only on the inputs.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    groups = [thetas[lo:lo + _GROUP] for lo in range(0, thetas.shape[0], _GROUP)]
-    return np.concatenate([np.empty((0, thetas.shape[1]), samples.dtype), *_map_one_blas(
-        lambda g: _kernel(samples, g)(g)[0], groups, os.cpu_count() or 1)])
+    k, full = thetas.shape[0], thetas.shape[0] - thetas.shape[0] % _GROUP
+    dtype = np.dtype(np.float64) if isinstance(samples, SampleStream) else samples.dtype
+    return np.concatenate([np.empty((0, samples.shape[1]), dtype), *(
+        _walk(samples, thetas[lo:hi], dtype) for lo, hi in ((0, full), (full, k)) if hi > lo)])
+
+
+def _walk(samples, thetas: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    # f_n at thetas, groups of one size, in one walk over the kernel's blocks
+    # of rows for that size. Each worker gets a run of blocks, a buffer of one
+    # block and a kernel set up on it (and on its first m columns, for a short
+    # last block), all made here in the calling thread, so their memory goes
+    # back to the main malloc arena; sums[b] keeps block b's sums. As in a
+    # (d, n) array of several blocks, the buffer's rows are one column longer
+    # than a block: numpy projects a contiguous (m, d) block by another path,
+    # whose bits can differ (seen for one theta at d >= 4 and m <= 3).
+    (n, d), k = samples.shape, thetas.shape[0]
+    if n == 0:
+        raise ValueError("samples has no rows")
+    groups = [(lo, thetas[lo:lo + _GROUP]) for lo in range(0, k, _GROUP)]
+    block = min(n, _block(d, groups[0][1].shape[0], dtype.itemsize))
+    count = -(-n // block)
+    workers = min(os.cpu_count() or 1, count)
+    sums = np.empty((count, k, d), dtype)
+    jobs = []
+    for w in range(workers):
+        buf = np.empty((d, block + (count > 1)), dtype)[:, :block]
+        kernels = {block: (buf, _kernel(buf.T, groups[0][1]))}
+        m = n - (count - 1) * block
+        if w == workers - 1 and m < block:
+            kernels[m] = buf[:, :m], _kernel(buf[:, :m].T, groups[0][1])
+        jobs.append((w * count // workers, (w + 1) * count // workers, kernels))
+
+    def run(job):
+        first, last, kernels = job
+        read = _reader(samples, first * block)
+        for b in range(first, last):
+            cols, f_n = kernels[min(block, n - b * block)]
+            read(cols)
+            for lo, g in groups:
+                sums[b, lo:lo + g.shape[0]] = f_n(g)[0]
+
+    _map_one_blas(run, jobs, workers)
+    total = sums[0]
+    for part in sums[1:]:
+        np.add(total, part, out=total)
+    return total / n
+
+
+def _reader(samples, lo: int):
+    # read(cols) fills the (d, m) buffer cols with the next m rows from row
+    # lo on: drawn from a SampleStream, copied from an array
+    if isinstance(samples, SampleStream):
+        return samples.reader(lo)
+
+    def read(cols: np.ndarray) -> None:
+        nonlocal lo
+        np.copyto(cols, samples[lo:lo + cols.shape[1]].T)
+        lo += cols.shape[1]
+
+    return read
 
 
 def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
@@ -225,14 +291,16 @@ def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
 
     # one pass over the samples per iterate gives its log-likelihood and its EM step
     f_n = _kernel(data.samples, theta)
-    nxt, logcosh_sum = f_n(theta, with_logcosh=True)
+    total, logcosh_sum = f_n(theta, with_logcosh=True)
+    nxt = total / data.n
     record(theta, logcosh_sum)
     reason = StopReason.MAX_ITERS
     for _ in range(stop.max_iters):
         if not np.all(np.isfinite(nxt)):
             reason = StopReason.DIVERGED
             break
-        following, logcosh_sum = f_n(nxt, with_logcosh=True)
+        total, logcosh_sum = f_n(nxt, with_logcosh=True)
+        following = total / data.n
         record(nxt, logcosh_sum)
         if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
             reason = StopReason.REL_CHANGE
@@ -261,17 +329,27 @@ def iterate_em(samples: np.ndarray, theta0, stop: StopRule,
     Each step is a pass of model._kernel, set up once as in run_em, so float64
     iterates agree bitwise; a non-finite one raises ValueError naming its step.
     """
+    for t, theta in enumerate(_iterates(samples, theta0, stop, dtype), 1):
+        pass
+    return theta.astype(np.float64), t
+
+
+def _iterates(samples: np.ndarray, theta0, stop: StopRule, dtype=np.float64):
+    # theta_1, theta_2, ... of iterate_em's loop as they come, up to the one
+    # at which the relative-change rule fires or max_iters; a non-finite one
+    # raises ValueError naming its step. In float64 they are run_em's
+    # iterates, bit for bit, without its log-likelihood pass.
     S = np.ascontiguousarray(samples.T, dtype=dtype).T
     theta = np.asarray(theta0, dtype=dtype).copy()
-    f_n = _kernel(S, theta)
+    f_n, n = _kernel(S, theta), S.shape[0]
     for t in range(1, stop.max_iters + 1):
-        nxt = f_n(theta)[0]
+        nxt = f_n(theta)[0] / n
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"EM iterate is not finite at step {t}")
+        yield nxt
         if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
-            return nxt.astype(np.float64), t
+            return
         theta = nxt
-    return theta.astype(np.float64), stop.max_iters
 
 
 def em_jacobian(data: Dataset, theta) -> np.ndarray:

@@ -8,6 +8,10 @@ import pytest
 
 from em2gm import sample_em
 from em2gm.cli import main
+from em2gm.deviation import default_probe_grid, relative_lipschitz_probe
+from em2gm.model import ModelSpec, sample_dataset
+from em2gm.population import build_rule
+from em2gm.rng import derive_seed
 
 
 def test_no_command_is_a_usage_error(capsys):
@@ -217,13 +221,26 @@ def test_deviation_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_deviation_bytes_do_not_depend_on_cores(tmp_path, monkeypatch):
-    # the batch map runs its groups of thetas on os.cpu_count() threads
-    for cores in (1, 3):
+    # the batch map splits its blocks of rows over os.cpu_count() threads
+    for cores in (1, 2, 3):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert main(["deviation", "--d", "2", "--s", "1", "--n", "20000", "--directions", "16",
                      "--radii", "12", "--seed", "3", "--out", str(tmp_path / str(cores))]) == 0
     want = (tmp_path / "1" / "deviation.csv").read_bytes()
-    assert (tmp_path / "3" / "deviation.csv").read_bytes() == want
+    for cores in (2, 3):
+        assert (tmp_path / str(cores) / "deviation.csv").read_bytes() == want, cores
+
+
+@pytest.mark.parametrize("d, n", [(1, 3000), (2, 20000), (3, 7000)])
+def test_deviation_writes_the_bytes_of_the_dataset_probe(tmp_path, d, n):
+    # the command streams its samples; the probe of the held Dataset is the reference
+    assert main(["deviation", "--d", str(d), "--s", "1", "--n", str(n), "--directions", "5",
+                 "--radii", "13", "--seed", "8", "--out", str(tmp_path)]) == 0
+    spec = ModelSpec.along_axis(1.0, d)
+    grid = default_probe_grid(spec, derive_seed(8, 1), n_directions=5, n_radii=13)
+    relative_lipschitz_probe(sample_dataset(spec, n, 8), spec, grid,
+                             build_rule(80)).to_csv(tmp_path / "want.csv")
+    assert (tmp_path / "deviation.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_mle_probe_command(tmp_path, capsys):

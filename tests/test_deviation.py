@@ -1,4 +1,7 @@
 import math
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from em2gm.deviation import (
     tanh_sup_ratio,
     w1_squared_empirical,
 )
-from em2gm.model import Dataset, ModelSpec, sample_dataset
+from em2gm.model import Dataset, ModelSpec, SampleStream, sample_dataset
 from em2gm.population import f_pop
 from em2gm.rng import derive_seed
 from em2gm.sample_em import em_map
@@ -235,3 +238,22 @@ def test_tanh_sup_grid_search_brackets_closed_form():
     got = tanh_sup_grid_search(2.0, 1.0)
     assert got <= 3.0 + 1e-6
     assert got >= 3.0 - 1e-3
+
+
+def test_streamed_probe_holds_no_n_by_d_samples(rule):
+    # d=2, n=1e6 and the 16 x 12 grid on two workers: the (2, 1e6) float64
+    # samples alone are 15.3 MiB; the stream holds a block of rows per worker,
+    # each worker's kernel buffer and the block sums
+    spec = ModelSpec.along_axis(1.0, 2)
+    grid = default_probe_grid(spec, derive_seed(5, 1), n_directions=16, n_radii=12)
+    data = SampleStream(spec, 1_000_000, 5)
+    with mock.patch.object(os, "cpu_count", return_value=2):
+        relative_lipschitz_probe(SampleStream(spec, 1000, 5), spec, grid, rule)
+        tracemalloc.start()
+        try:
+            probe = relative_lipschitz_probe(data, spec, grid, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert probe.ratios.size == 192
+    assert peak <= 6 * 2**20, peak / 2**20

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -340,13 +339,12 @@ def test_mle_probe_ratios_move_little_when_the_iterates_move_by_ulps(monkeypatch
     data = sample_dataset(spec, 100_000, 66)
     init = InitSpec(kind="random_sphere", seed=67)
     want = mle_contraction_probe(data, spec, init, burn_in=20, extra=20).ratios
-    run_em, m = experiments.run_em, 6
+    iterates, m = experiments._iterates, 6
 
-    def moved_run_em(*args, **kwargs):
-        traj = run_em(*args, **kwargs)
-        return dataclasses.replace(traj, iterates=_moved_by_ulps(traj.iterates, m))
+    def moved_iterates(samples, theta0, stop):
+        return iter(_moved_by_ulps(np.array([theta0, *iterates(samples, theta0, stop)]), m)[1:])
 
-    monkeypatch.setattr(experiments, "run_em", moved_run_em)
+    monkeypatch.setattr(experiments, "_iterates", moved_iterates)
     got = mle_contraction_probe(data, spec, init, burn_in=20, extra=20).ratios
     assert 0 < want.size == got.size
     bound = 1.01 * 2 * m * np.finfo(float).eps * (1 + 1 / want) / 1e-10

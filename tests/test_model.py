@@ -13,6 +13,7 @@ from em2gm import model
 from em2gm.model import (
     Dataset,
     ModelSpec,
+    SampleStream,
     chi2_to_standard,
     grad_log_likelihood,
     log_likelihood,
@@ -182,18 +183,20 @@ def test_dataset_normalizes_other_layouts_once():
     assert Dataset(samples=data.samples, seed=0, spec=spec).samples is data.samples
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 3, 10])
 def test_squared_norm_term_is_the_row_major_expression(d):
-    data = sample_dataset(ModelSpec.along_axis(1.0, d), 2000, 3)
-    rows = data.samples.copy(order="C")
-    sq = float(np.mean(np.einsum("ij,ij->i", rows, rows)))
-    assert data.mean_sq_norm == sq
-    theta = np.linspace(0.3, 0.7, d)
-    want = (-0.5 * sq - 0.5 * d * math.log(2 * math.pi)
-            - 0.5 * float(theta @ theta) + float(np.mean(logcosh(rows @ theta))))
-    assert log_likelihood(data, theta) == pytest.approx(want, rel=1e-15)
-    if d == 1:
-        assert log_likelihood(data, theta) == want
+    # the documented expression over the stored (feature-major) samples; a
+    # C-ordered copy would sum each row's squares in another order at d >= 3
+    for seed in range(20):
+        data = sample_dataset(ModelSpec.along_axis(1.0, d), 2000, seed)
+        sq = float(np.mean(np.einsum("ij,ij->i", data.samples, data.samples)))
+        assert data.mean_sq_norm == sq, seed
+        theta = np.linspace(0.3, 0.7, d)
+        want = (-0.5 * sq - 0.5 * d * math.log(2 * math.pi)
+                - 0.5 * float(theta @ theta) + float(np.mean(logcosh(data.samples @ theta))))
+        assert log_likelihood(data, theta) == pytest.approx(want, rel=1e-15), seed
+        if d == 1:
+            assert log_likelihood(data, theta) == want, seed
 
 
 @st.composite
@@ -417,3 +420,25 @@ def test_chi2_monte_carlo_oracle():
     r = np.exp(-0.5 * float(theta @ theta)) * np.cosh(y @ theta)
     est = float(np.mean(r * r)) - 1.0
     assert chi2_to_standard(theta) == pytest.approx(est, abs=0.02)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0.0, 0.7]), st.integers(0, 400), st.integers(0, 3),
+       st.integers(1, 700), st.integers(0, 2**32 - 1))
+def test_rows_from_a_positioned_stream_are_that_slice_of_the_dataset(d, s, quads, rest, count,
+                                                                      seed):
+    # rows [a, b) drawn from row a on, over every row offset mod 4 and chunk
+    # edges (chunks of 128 rows here), equal those rows of sample_dataset
+    a = 4 * quads + rest
+    spec = ModelSpec.along_axis(s, d)
+    with mock.patch.object(model, "_BLOCK_BYTES", 128 * (d + 1) * 8):
+        want = sample_dataset(spec, a + count, seed).samples.T[:, a:]
+    cols = np.empty((d, count))
+    SampleStream(spec, a + count, seed).reader(a)(cols)
+    assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_a_sample_stream_has_the_dataset_shape_and_rejects_no_rows():
+    assert SampleStream(ModelSpec.along_axis(1.0, 3), 10, 0).shape == (10, 3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        SampleStream(ModelSpec.along_axis(1.0, 3), 0, 0)

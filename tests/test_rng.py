@@ -91,3 +91,19 @@ def test_derive_seed_fits_uint64():
     s = derive_seed(2**63, 12, 34)
     assert isinstance(s, int)
     assert 0 <= s < 2**64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 5000), st.integers(0, 3), st.integers(1, 40))
+def test_a_positioned_generator_continues_the_stream(seed, quads, rest, count):
+    # every skip mod 4: Philox advances by whole counters of four draws and
+    # the generator draws and drops the rest
+    skip = 4 * quads + rest
+    whole = make_generator(seed).random(skip + count)
+    assert make_generator(seed, skip).random(count).tobytes() == whole[skip:].tobytes()
+
+
+def test_a_positioned_generator_matches_one_draw_at_small_offsets():
+    whole = make_generator(7).random(450)
+    for skip in range(404):
+        assert make_generator(7, skip).random(46).tobytes() == whole[skip:skip + 46].tobytes()

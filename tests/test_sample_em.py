@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from em2gm import model, sample_em
-from em2gm.model import Dataset, ModelSpec, grad_log_likelihood, log_likelihood, sample_dataset
+from em2gm.model import (Dataset, ModelSpec, SampleStream, grad_log_likelihood, log_likelihood,
+                         sample_dataset)
 from em2gm.rng import derive_seed
 from em2gm.sample_em import (
     StopReason,
@@ -394,6 +395,37 @@ def _check_batch_bytes_on_cores(case, blocks, group):
             assert _batch_on(cores, data.samples, thetas, group).tobytes() == want, cores
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3000), st.integers(1, 200), st.sampled_from([0.0, 1.0]),
+       st.integers(2, 20), st.integers(1, 48), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_em_map_batch_from_a_stream_is_the_array_bitwise(d, n, k, s, blocks, group, cores, seed):
+    # many blocks, a short last block and a short last group of thetas
+    spec = ModelSpec.along_axis(s, d)
+    thetas = np.random.default_rng(seed).normal(size=(k, d))
+    nbytes = (-(-n // blocks) + 1) * max(d, group) * 8
+    with _blocks_of(nbytes):
+        want = _batch_on(cores, sample_dataset(spec, n, seed).samples, thetas, group)
+        got = _batch_on(cores, SampleStream(spec, n, seed), thetas, group)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_em_map_batch_from_a_stream_rejects_a_nonfinite_sample(monkeypatch, cores):
+    # a NaN drawn into the fourth of ten blocks of rows
+    draw, drawn = model._draw_rows, []
+
+    def nan_in_fourth_block(rng, theta_star, cols):
+        draw(rng, theta_star, cols)
+        drawn.append(1)
+        if len(drawn) == 4:
+            cols[0, 7] = np.nan
+
+    monkeypatch.setattr(model, "_draw_rows", nan_in_fourth_block)
+    with _blocks_of(100 * 48 * 8), pytest.raises(ValueError, match="finite"):
+        _batch_on(cores, SampleStream(ModelSpec.along_axis(1.0, 2), 1000, 3), np.ones((48, 2)))
+    assert len(drawn) >= 4
+
+
 def test_em_map_batch_default_block_is_a_mebibyte(monkeypatch):
     # d=2, k=192 runs as 4 groups of 48 thetas, each over blocks of
     # 1 MiB // (48 * 8) = 2730 rows, the last of n=1e5 1720 rows long
@@ -431,17 +463,24 @@ def test_em_map_batch_runs_blas_on_one_thread_and_restores_it(monkeypatch):
         pytest.skip("no thread control found for numpy's BLAS")
     get, set_ = control
     seen = []
-    monkeypatch.setattr(sample_em, "_kernel",
-                        lambda *a: seen.append(get()) or model._kernel(*a))
+
+    def kernel(*args):
+        # the BLAS thread count at each pass of the kernel, where BLAS runs
+        f_n = model._kernel(*args)
+        return lambda *a, **kw: seen.append(get()) or f_n(*a, **kw)
+
+    monkeypatch.setattr(sample_em, "_kernel", kernel)
     data = _data(s=1.0, d=2, n=5000, seed=63)
     before = get()
     try:
         set_(2)
-        _batch_on(3, data.samples, np.ones((200, 2)))  # groups of 48, 48, 48, 48 and 8
+        # groups of 48, 48, 48, 48 over two blocks of rows, 2730 and 2270,
+        # then the group of 8 over one block of all 5000
+        _batch_on(3, data.samples, np.ones((200, 2)))
         assert get() == 2
     finally:
         set_(before)
-    assert len(seen) == 5 and set(seen) == {1}
+    assert len(seen) == 9 and set(seen) == {1}
 
 
 def test_em_map_batch_error_in_a_block_is_raised():
@@ -469,6 +508,19 @@ def test_run_em_projects_once_per_iterate(monkeypatch):
     assert len(calls) == len(traj) == 31
     # the shared pass gives the same log-likelihood bits as a fresh one
     assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
+
+
+def test_iterates_are_run_ems_without_its_log_likelihoods():
+    # bit for bit, up to max_iters, and up to an exact fixed point (the zero
+    # start, and a small dataset's run, which reaches its limit exactly)
+    cases = ((_data(seed=66, n=3000), np.array([0.3, 0.8]), StopRule(60, 0.0)),
+             (_data(seed=66, n=3000), np.zeros(2), StopRule(10, 0.0)),
+             (_data(s=1.0, d=1, n=20, seed=67), np.array([0.5]), StopRule(5000, 0.0)))
+    for data, theta0, stop in cases:
+        traj = run_em(data, theta0, stop, keep_iterates=True)
+        got = np.array([theta0, *sample_em._iterates(data.samples, theta0, stop)])
+        assert got.tobytes() == traj.iterates.tobytes()
+    assert traj.stop_reason is StopReason.REL_CHANGE and len(traj) < 5001
 
 
 def _block(d, dtype=np.float64, k=1, nbytes=None):
@@ -551,8 +603,9 @@ def test_iterate_em_matches_blocked_reference_loop_bitwise(d, dtype):
 
 
 def _f_n(samples, theta, with_logcosh=False):
-    # one pass of the kernel, set up for this call alone
-    return model._kernel(samples, theta)(theta, with_logcosh)
+    # one pass of the kernel, set up for this call alone, its sum divided by n
+    total, logcosh_sum = model._kernel(samples, theta)(theta, with_logcosh)
+    return total / samples.shape[0], logcosh_sum
 
 
 @settings(max_examples=30, deadline=None)
@@ -602,10 +655,11 @@ def _check_kernel_bitwise(d, dtype, k, blocks, offset, scale, seed):
     want, want_logcosh = _f_n_by_blocks(yt, theta)
     f_n = model._kernel(yt.T, theta)
     got, got_logcosh = f_n(theta, with_logcosh=True)
+    got = got / n
     assert got.tobytes() == want.tobytes() and got_logcosh == want_logcosh
     # a later step on the same buffers neither changes the first result nor
     # carries anything over from it
-    again = f_n(theta[::-1].copy())[0]
+    again = f_n(theta[::-1].copy())[0] / n
     assert again.tobytes() == _f_n_by_blocks(yt, theta[::-1].copy())[0].tobytes()
     assert got.tobytes() == want.tobytes()
 
@@ -657,7 +711,7 @@ def test_kernel_makes_one_direct_blas_call_per_block(direct, dtype, d, k, routin
     with _blocks_of(nbytes), mock.patch.object(model, "_cblas", cblas):
         f_n = model._kernel(yt.T, theta)
         for th in (theta, -theta):
-            assert f_n(th)[0].tobytes() == _f_n_by_blocks(yt, th, nbytes)[0].tobytes()
+            assert (f_n(th)[0] / 123).tobytes() == _f_n_by_blocks(yt, th, nbytes)[0].tobytes()
     assert calls == ([routine] * 8 if direct else [])
 
 
