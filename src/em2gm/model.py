@@ -7,8 +7,9 @@ global sign flip, so estimation error is always measured by
     loss(a, b) = min(|a - b|, |a + b|)
 
 in the Euclidean norm. This module owns the ground truth (ModelSpec), the
-sampler (SampleStream, and Dataset, the samples held), the loss, the average log-likelihood and its gradient, and
-the chi-square divergence to the standard normal. The likelihood, its gradient,
+sampler (SampleStream, and Dataset, the samples held), the loss, the average
+log-likelihood and its gradient, and the chi-square divergence to the
+standard normal. The likelihood, its gradient,
 the EM map and its batch form share one kernel, _kernel, so em_map = theta +
 grad holds bitwise.
 

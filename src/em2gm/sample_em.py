@@ -217,22 +217,25 @@ def _walk(samples, thetas: np.ndarray, dtype: np.dtype) -> np.ndarray:
     block = min(n, _block(d, groups[0][1].shape[0], dtype.itemsize))
     count = -(-n // block)
     workers = min(os.cpu_count() or 1, count)
+    m = n - (count - 1) * block
     sums = np.empty((count, k, d), dtype)
     jobs = []
     for w in range(workers):
         buf = np.empty((d, block + (count > 1)), dtype)[:, :block]
         kernels = {block: (buf, _kernel(buf.T, groups[0][1]))}
-        m = n - (count - 1) * block
         if w == workers - 1 and m < block:
             kernels[m] = buf[:, :m], _kernel(buf[:, :m].T, groups[0][1])
         jobs.append((w * count // workers, (w + 1) * count // workers, kernels))
 
     def run(job):
         first, last, kernels = job
-        read = _reader(samples, first * block)
+        read = samples.reader(first * block) if isinstance(samples, SampleStream) else None
         for b in range(first, last):
             cols, f_n = kernels[min(block, n - b * block)]
-            read(cols)
+            if read is None:
+                np.copyto(cols, samples[b * block:b * block + cols.shape[1]].T)
+            else:
+                read(cols)
             for lo, g in groups:
                 sums[b, lo:lo + g.shape[0]] = f_n(g)[0]
 
@@ -241,20 +244,6 @@ def _walk(samples, thetas: np.ndarray, dtype: np.dtype) -> np.ndarray:
     for part in sums[1:]:
         np.add(total, part, out=total)
     return total / n
-
-
-def _reader(samples, lo: int):
-    # read(cols) fills the (d, m) buffer cols with the next m rows from row
-    # lo on: drawn from a SampleStream, copied from an array
-    if isinstance(samples, SampleStream):
-        return samples.reader(lo)
-
-    def read(cols: np.ndarray) -> None:
-        nonlocal lo
-        np.copyto(cols, samples[lo:lo + cols.shape[1]].T)
-        lo += cols.shape[1]
-
-    return read
 
 
 def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
