@@ -237,17 +237,12 @@ def _init_spec(cfg: dict, d: int, seed: int = 0) -> InitSpec:
     return InitSpec(kind="fixed", fixed_value=cfg["theta0"], c0=cfg["c0"], seed=seed)
 
 
-def _stop_rule(cfg: dict) -> StopRule | None:
-    """The --max-iters cap, or None for the budget ceil(c_iter * sqrt(n))."""
-    return StopRule(cfg["max_iters"], cfg["rel_tol"]) if cfg["max_iters"] > 0 else None
-
-
 def _sweep_config(cfg: dict, n_grid, s_grid, path: Path) -> exp.ExperimentConfig:
     return exp.ExperimentConfig.from_product(
         n_grid, [cfg["d"]], s_grid,
         replicates=cfg["replicates"], init=_init_spec(cfg, cfg["d"]),
-        master_seed=cfg["seed"], output_path=path, stop=_stop_rule(cfg),
-        rel_tol=cfg["rel_tol"], c_iter=cfg["c_iter"], dtype=cfg["dtype"],
+        master_seed=cfg["seed"], output_path=path, rel_tol=cfg["rel_tol"],
+        c_iter=cfg["c_iter"], max_iters=cfg["max_iters"], dtype=cfg["dtype"],
         threads=cfg["threads"] or os.cpu_count() or 1)  # 0 means one per core
 
 
@@ -260,8 +255,7 @@ def _cmd_trajectory(cfg: dict, out: Path) -> str:
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
     data = sample_dataset(spec, cfg["n"], cfg["seed"])
     theta0 = make_init(_init_spec(cfg, cfg["d"]), data, seed=derive_seed(cfg["seed"], 1))
-    stop = _stop_rule(cfg) or StopRule.for_n(cfg["n"], c_iter=cfg["c_iter"],
-                                             rel_tol=cfg["rel_tol"])
+    stop = StopRule.for_n(cfg["n"], cfg["c_iter"], cfg["rel_tol"], cfg["max_iters"])
     traj = run_em(data, theta0, stop, spec, keep_iterates=True)
     path = out / "trajectory.csv"
     traj.to_csv(path)

@@ -11,8 +11,9 @@ thread, so ``threads`` sweep workers use that many cores and the bytes of a
 sweep do not depend on the BLAS thread count either. The cells run through
 sample_em's _map_one_blas, as do the blocks of the batch map behind the
 deviation probe, which uses all cores the same way. The workers are threads:
-every per-block call of the f_n kernel (projection, tanh, the direct BLAS
-reduction) runs without the GIL, so they do not take turns on the products.
+tanh and the direct BLAS reduction of the f_n kernel run without the GIL, as
+does its projection at d = 1, but at d >= 2 the projection of one theta is a
+matrix-vector np.matmul, which holds the GIL, so the workers take turns on it.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class SlopeSummary:
 class ExperimentConfig:
     """One sweep: a grid of (n, d, s) cells, repeated, from one master seed.
 
-    When ``stop`` is None each cell gets the budget ceil(c_iter sqrt(n))
-    with the configured rel_tol; an explicit StopRule applies verbatim to
-    every cell. ``dtype`` selects the inner-loop precision of iterate_em;
+    Each cell stops by StopRule.for_n: after max_iters steps, or when it is
+    0 (the default) after ceil(c_iter sqrt(n)), or earlier by rel_tol.
+    ``dtype`` selects the inner-loop precision of iterate_em;
     float32 is the documented fast path for the large worst-case sweeps,
     where the iteration noise sits far below the statistical error.
     ``threads`` is the number of sweep workers; each runs BLAS on one
@@ -107,9 +108,9 @@ class ExperimentConfig:
     init: InitSpec
     master_seed: int
     output_path: str | Path | None = None
-    stop: StopRule | None = None
     rel_tol: float = 1e-8
     c_iter: float = 10.0
+    max_iters: int = 0
     dtype: str = "float64"
     threads: int = 1
 
@@ -129,9 +130,11 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
-        rel_tol = self.rel_tol if self.stop is None else self.stop.rel_tol
-        if self.dtype == "float32" and 0.0 < rel_tol < np.finfo(np.float32).eps:
-            raise ValueError(f"rel_tol={rel_tol:g} is below float32 eps 1.19e-07; use 0 or more")
+        if self.dtype == "float32" and 0.0 < self.rel_tol < np.finfo(np.float32).eps:
+            raise ValueError(f"rel_tol={self.rel_tol:g} is below float32 eps 1.19e-07; "
+                             "use 0 or more")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0 (0 = ceil(c_iter sqrt(n)))")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -142,9 +145,7 @@ class ExperimentConfig:
         return cls(grid=tuple(grid), **kwargs)
 
     def stop_for(self, n: int) -> StopRule:
-        if self.stop is not None:
-            return self.stop
-        return StopRule.for_n(n, c_iter=self.c_iter, rel_tol=self.rel_tol)
+        return StopRule.for_n(n, self.c_iter, self.rel_tol, self.max_iters)
 
     @property
     def np_dtype(self):
@@ -346,9 +347,8 @@ def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,
             f"s={spec.s:.4g} is below the contraction scale {scale:.4g}; "
             "the MLE proxy may not contract", stacklevel=2)
     # run_em's iterates without its log-likelihood pass, which nothing here reads
-    theta0 = np.asarray(make_init(init, data), dtype=np.float64)
-    iters = np.array([theta0, *_iterates(data.samples, theta0,
-                                          StopRule(max_iters=burn_in + extra + 50, rel_tol=0.0))])
+    iters = np.array([theta for theta, _ in _iterates(
+        data.samples, make_init(init, data), StopRule(max_iters=burn_in + extra + 50, rel_tol=0.0))])
     theta_inf = iters[-1]
     dist = np.linalg.norm(iters - theta_inf[None, :], axis=1)
     cutoff = 1e-10 * max(1.0, float(np.linalg.norm(theta_inf)))

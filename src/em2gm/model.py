@@ -23,7 +23,9 @@ reduction is a direct ctypes call of the cblas routine that np.matmul would
 call in numpy's bundled OpenBLAS (same bits), which releases the GIL for the
 product, so sweep threads overlap their reductions; with no such library, or
 for a block of one column, where np.matmul calls no BLAS, the kernel reduces
-with np.matmul. This module owns the one lookup of that
+with np.matmul. The projection of one theta at d >= 2 is a matrix-vector
+np.matmul, which holds the GIL for its whole product, so sweep threads take
+turns on it. This module owns the one lookup of that
 library's routines (_openblas), which sample_em's BLAS thread control uses too.
 There is one sampler, _draw_rows: SampleStream draws any range of rows with
 it from a generator positioned at its first row and checks them finite, so
@@ -278,11 +280,12 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
     # products are one BLAS product per block; at d = 1 an elementwise
     # multiply, as numpy runs (n, 1) @ (1,) as a per-row loop ten times
     # slower. The bits agree but for the sign of a zero product at theta = 0,
-    # which tanh keeps and the sum over rows drops. Per block, the projection
-    # and tanh release the GIL, and so does the reduction when it is a direct
-    # BLAS call (_reductions); np.matmul would hold it for the whole
-    # product, so two sweep threads would take turns. What holds the GIL is
-    # the dispatch of those calls and the add of the block sums.
+    # which tanh keeps and the sum over rows drops. Per block, tanh, the
+    # reduction when it is a direct BLAS call (_reductions) and the projection
+    # at d = 1 or of a stack of thetas (np.multiply, or a matrix-matrix
+    # np.matmul) release the GIL. The projection of one theta at d >= 2 is a
+    # matrix-vector np.matmul, which holds it for the whole product, so two
+    # sweep threads take turns on it.
     n, d = samples.shape
     if n == 0:
         raise ValueError("samples has no rows")

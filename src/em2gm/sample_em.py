@@ -5,20 +5,23 @@ One EM step for the symmetric mixture collapses to the closed-form map
     f_n(theta) = (1/n) sum_i y_i tanh(<theta, y_i>),
 
 which equals theta + grad of the average log-likelihood (same kernel as
-model.grad_log_likelihood, so the identity is bitwise). run_em records the
-full diagnostic trajectory: the signal/orthogonal decomposition of each
-iterate against the true direction, the loss, and the log-likelihood, which
-EM never decreases. iterate_em is the stripped loop for large Monte Carlo
-sweeps; it records nothing and can run in float32, where tanh and the two
-matrix products dominate and the narrower dtype roughly doubles throughput.
+model.grad_log_likelihood, so the identity is bitwise). _iterates is the one
+EM loop: it applies the stop rule and raises ValueError naming the first
+non-finite iterate. run_em records the full diagnostic trajectory over it:
+the signal/orthogonal decomposition of each iterate against the true
+direction, the loss, and the log-likelihood, which EM never decreases.
+iterate_em is the stripped loop for large Monte Carlo sweeps; it records
+nothing and can run in float32, where tanh and the two matrix products
+dominate and the narrower dtype roughly doubles throughput.
 
-em_map, run_em and iterate_em evaluate f_n through model._kernel, which run_em
-and iterate_em set up once per run. A step is one pass over column blocks of
-the feature-major samples (512 KiB at d = 1, 1 MiB at d >= 2), each projected,
-put through tanh and reduced while in L2, each of the three calls free of the
-GIL, so sweep threads overlap; run_em takes each iterate's log-likelihood from
-the same pass. A dataset within one block gives the bytes of the unblocked
-sum; larger ones move in their last bits.
+em_map and _iterates evaluate f_n through model._kernel, which _iterates sets
+up once per run. A step is one pass over column blocks of the feature-major
+samples (512 KiB at d = 1, 1 MiB at d >= 2), each projected, put through tanh
+and reduced while in L2; at d >= 2 the projection of one theta holds the
+GIL (see model._kernel), so sweep threads take turns on it. run_em takes each
+iterate's log-likelihood from the same pass, one pass more than iterate_em's
+T. A dataset within one block gives the bytes of the unblocked sum; larger
+ones move in their last bits.
 
 em_map_batch, behind the deviation probe, runs the same kernel on groups of
 thetas in one walk over blocks of rows, from an array or drawn from a
@@ -60,7 +63,6 @@ __all__ = [
 class StopReason(str, enum.Enum):
     MAX_ITERS = "max_iters"
     REL_CHANGE = "rel_change"
-    DIVERGED = "diverged"
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,12 @@ class StopRule:
             raise ValueError("rel_tol must be nonnegative")
 
     @classmethod
-    def for_n(cls, n: int, c_iter: float = 10.0, rel_tol: float = 1e-8) -> "StopRule":
-        """Iteration budget ceil(c_iter * sqrt(n)): the sample EM map needs
-        order sqrt(n) steps in the worst case, c_iter adds the safety factor."""
-        return cls(max_iters=math.ceil(c_iter * math.sqrt(n)), rel_tol=rel_tol)
+    def for_n(cls, n: int, c_iter: float = 10.0, rel_tol: float = 1e-8,
+              max_iters: int = 0) -> "StopRule":
+        """Iteration budget max_iters, or ceil(c_iter * sqrt(n)) when it is 0:
+        the sample EM map needs order sqrt(n) steps in the worst case, c_iter
+        adds the safety factor."""
+        return cls(max_iters=max_iters or math.ceil(c_iter * math.sqrt(n)), rel_tol=rel_tol)
 
     def step_small(self, delta_norm: float, theta_norm: float) -> bool:
         return delta_norm <= self.rel_tol * max(theta_norm, 1e-30)
@@ -251,21 +255,23 @@ def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
     """Iterate the EM map from theta0, recording the full diagnostic record.
 
     ``spec`` supplies the ground truth for the decomposition and the loss;
-    it defaults to the spec the dataset was generated from. Non-finite
-    iterates stop the run with stop_reason=diverged (unreachable for finite
-    data; it would signal a bug, not a modeling failure).
+    it defaults to the spec the dataset was generated from. The iterates are
+    those of _iterates, each with its log-likelihood from the pass that takes
+    its EM step (T + 1 passes for T steps); a non-finite one raises
+    ValueError naming its step. stop_reason is rel_change when the rule fired
+    on the last step, else max_iters.
     """
     if spec is None:
         spec = data.spec
-    theta = np.asarray(theta0, dtype=np.float64).copy()
-    if theta.shape != (data.d,):
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    if theta0.shape != (data.d,):
         raise ValueError("theta0 must have length d")
     eta = spec.direction
 
-    alphas, betas, losses, logliks = [], [], [], []
-    iterates = [] if keep_iterates else None
-
-    def record(th, logcosh_sum):
+    alphas, betas, losses, logliks, iterates = [], [], [], [], []
+    prev = th = None
+    for th_next, logcosh_sum in _iterates(data.samples, theta0, stop, with_logcosh=True):
+        prev, th = th, th_next
         if eta is None:
             a, b = 0.0, float(np.linalg.norm(th))
         else:
@@ -275,34 +281,18 @@ def run_em(data: Dataset, theta0, stop: StopRule, spec: ModelSpec | None = None,
         betas.append(b)
         losses.append(loss(th, spec.theta_star))
         logliks.append(_log_likelihood_from(data, th, logcosh_sum))
-        if iterates is not None:
-            iterates.append(th.copy())
+        if keep_iterates:
+            iterates.append(th)
 
-    # one pass over the samples per iterate gives its log-likelihood and its EM step
-    f_n = _kernel(data.samples, theta)
-    total, logcosh_sum = f_n(theta, with_logcosh=True)
-    nxt = total / data.n
-    record(theta, logcosh_sum)
-    reason = StopReason.MAX_ITERS
-    for _ in range(stop.max_iters):
-        if not np.all(np.isfinite(nxt)):
-            reason = StopReason.DIVERGED
-            break
-        total, logcosh_sum = f_n(nxt, with_logcosh=True)
-        following = total / data.n
-        record(nxt, logcosh_sum)
-        if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
-            reason = StopReason.REL_CHANGE
-            break
-        theta, nxt = nxt, following
-
+    fired = prev is not None and stop.step_small(float(np.linalg.norm(th - prev)),
+                                                 float(np.linalg.norm(prev)))
     return Trajectory(
         alpha=np.array(alphas),
         beta=np.array(betas),
         loss=np.array(losses),
         loglik=np.array(logliks),
-        stop_reason=reason,
-        iterates=np.array(iterates) if iterates is not None else None,
+        stop_reason=StopReason.REL_CHANGE if fired else StopReason.MAX_ITERS,
+        iterates=np.array(iterates) if keep_iterates else None,
     )
 
 
@@ -313,30 +303,39 @@ def iterate_em(samples: np.ndarray, theta0, stop: StopRule,
     The step count is the first t at which the relative-change rule fired,
     or max_iters if it never did. float32 halves memory traffic for the
     tanh/matmul inner loop; the returned iterate is cast back to float64.
-    The samples are used as the contiguous (d, n) block S.T, which for a
-    Dataset's float64 samples is the stored block; others are copied once.
-    Each step is a pass of model._kernel, set up once as in run_em, so float64
-    iterates agree bitwise; a non-finite one raises ValueError naming its step.
+    The iterates are those of _iterates, so float64 ones agree bitwise with
+    run_em's; a non-finite one raises ValueError naming its step.
     """
-    for t, theta in enumerate(_iterates(samples, theta0, stop, dtype), 1):
+    for t, (theta, _) in enumerate(_iterates(samples, theta0, stop, dtype)):
         pass
     return theta.astype(np.float64), t
 
 
-def _iterates(samples: np.ndarray, theta0, stop: StopRule, dtype=np.float64):
-    # theta_1, theta_2, ... of iterate_em's loop as they come, up to the one
-    # at which the relative-change rule fires or max_iters; a non-finite one
-    # raises ValueError naming its step. In float64 they are run_em's
-    # iterates, bit for bit, without its log-likelihood pass.
+def _iterates(samples: np.ndarray, theta0, stop: StopRule, dtype=np.float64,
+              with_logcosh: bool = False):
+    # The one EM loop: (theta_t, sum_i logcosh(<theta_t, y_i>) or None) for
+    # t = 0, 1, ... up to the step at which the relative-change rule fires or
+    # max_iters; a non-finite iterate raises ValueError naming its step. The
+    # samples are used as the contiguous (d, n) block S.T, which for a
+    # Dataset's float64 samples is the stored block; others are copied once.
+    # model._kernel is set up once, and each pass at theta_t gives its sum and
+    # theta_{t+1}: T passes for T steps, or T + 1 with the sums, whose last
+    # pass is at the last iterate. The iterates do not depend on with_logcosh.
     S = np.ascontiguousarray(samples.T, dtype=dtype).T
     theta = np.asarray(theta0, dtype=dtype).copy()
     f_n, n = _kernel(S, theta), S.shape[0]
+    total, logcosh_sum = f_n(theta, with_logcosh)
+    yield theta, logcosh_sum
     for t in range(1, stop.max_iters + 1):
-        nxt = f_n(theta)[0] / n
+        nxt = total / n
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"EM iterate is not finite at step {t}")
-        yield nxt
-        if stop.step_small(float(np.linalg.norm(nxt - theta)), float(np.linalg.norm(theta))):
+        done = t == stop.max_iters or stop.step_small(float(np.linalg.norm(nxt - theta)),
+                                                      float(np.linalg.norm(theta)))
+        if with_logcosh or not done:
+            total, logcosh_sum = f_n(nxt, with_logcosh)
+        yield nxt, logcosh_sum
+        if done:
             return
         theta = nxt
 

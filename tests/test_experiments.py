@@ -24,7 +24,7 @@ from em2gm.experiments import (
 from em2gm.initializers import InitSpec, make_init
 from em2gm.model import ModelSpec, loss, sample_dataset
 from em2gm.rng import derive_seed
-from em2gm.sample_em import StopRule, iterate_em
+from em2gm.sample_em import iterate_em
 
 
 def _config(tmp_path=None, **kw):
@@ -82,11 +82,11 @@ def test_config_validation():
 def test_config_rejects_float32_rel_tol_below_eps():
     kw = dict(grid=((10, 1, 1.0),), replicates=1, init=InitSpec(kind="zero"), master_seed=0,
               dtype="float32")
-    for bad in ({"rel_tol": 1e-8}, {"rel_tol": 1e-7}, {"stop": StopRule(5, rel_tol=1e-9)}):
+    for bad in ({"rel_tol": 1e-8}, {"rel_tol": 1e-7}, {"max_iters": 5, "rel_tol": 1e-9}):
         with pytest.raises(ValueError, match="float32 eps"):
             ExperimentConfig(**kw, **bad)
     # 0 (run the full budget) and tolerances at or above eps stay allowed
-    for ok in ({"rel_tol": 0.0}, {"rel_tol": 1e-6}, {"stop": StopRule(5, rel_tol=0.0)}):
+    for ok in ({"rel_tol": 0.0}, {"rel_tol": 1e-6}, {"max_iters": 5, "rel_tol": 0.0}):
         assert ExperimentConfig(**kw, **ok).dtype == "float32"
     assert ExperimentConfig(**{**kw, "dtype": "float64"}, rel_tol=1e-8).rel_tol == 1e-8
 
@@ -98,12 +98,15 @@ def test_config_grid_ordering_and_stop():
     # (d, s)-major: each (d, s) block sweeps all n before moving on
     assert cfg.grid == ((10, 1, 0.5), (20, 1, 0.5), (10, 1, 1.0), (20, 1, 1.0),
                        (10, 2, 0.5), (20, 2, 0.5), (10, 2, 1.0), (20, 2, 1.0))
+    # max_iters 0, the default, is the budget ceil(c_iter sqrt(n))
     stop = cfg.stop_for(100)
-    assert stop.max_iters == 20 and stop.rel_tol == 0.0
-    explicit = ExperimentConfig(grid=((10, 1, 1.0),), replicates=1,
-                                init=InitSpec(kind="zero"), master_seed=0,
-                                stop=StopRule(max_iters=7))
+    assert cfg.max_iters == 0 and stop.max_iters == 20 and stop.rel_tol == 0.0
+    assert cfg.stop_for(50).max_iters == math.ceil(2.0 * math.sqrt(50)) == 15
+    kw = dict(grid=((10, 1, 1.0),), replicates=1, init=InitSpec(kind="zero"), master_seed=0)
+    explicit = ExperimentConfig(**kw, max_iters=7)
     assert explicit.stop_for(10_000).max_iters == 7
+    with pytest.raises(ValueError, match="max_iters"):
+        ExperimentConfig(**kw, max_iters=-1)
     assert cfg.np_dtype is np.float64
 
 
@@ -342,7 +345,8 @@ def test_mle_probe_ratios_move_little_when_the_iterates_move_by_ulps(monkeypatch
     iterates, m = experiments._iterates, 6
 
     def moved_iterates(samples, theta0, stop):
-        return iter(_moved_by_ulps(np.array([theta0, *iterates(samples, theta0, stop)]), m)[1:])
+        thetas = np.array([theta for theta, _ in iterates(samples, theta0, stop)])
+        return ((theta, None) for theta in _moved_by_ulps(thetas, m))
 
     monkeypatch.setattr(experiments, "_iterates", moved_iterates)
     got = mle_contraction_probe(data, spec, init, burn_in=20, extra=20).ratios

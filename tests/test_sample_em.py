@@ -88,6 +88,8 @@ def test_stop_rule_budget_formula():
     assert StopRule.for_n(10_000).max_iters == 1000
     assert StopRule.for_n(10_000, c_iter=0.25).max_iters == 25
     assert StopRule.for_n(50, c_iter=10.0).max_iters == math.ceil(10.0 * math.sqrt(50))
+    # a nonzero max_iters replaces the budget
+    assert StopRule.for_n(10_000, 0.25, 0.0, max_iters=7) == StopRule(7, 0.0)
 
 
 def test_stop_rule_validation():
@@ -499,15 +501,29 @@ def _counting_kernel(setups, calls):
 
 
 def test_run_em_projects_once_per_iterate(monkeypatch):
-    data = _data(s=1.0, d=2, n=2000, seed=65)
+    # one kernel set-up per run; T passes for iterate_em's T steps and T + 1
+    # for run_em's, whose last pass gives the last iterate's log-likelihood,
+    # whether max_iters (30) or the relative rule (at step 19) ends the run
+    data, theta0 = _data(s=1.0, d=2, n=2000, seed=65), np.array([0.5, 0.5])
     setups, calls = [], []
     monkeypatch.setattr(sample_em, "_kernel", _counting_kernel(setups, calls))
-    traj = run_em(data, np.array([0.5, 0.5]), StopRule(max_iters=30, rel_tol=0.0),
-                  keep_iterates=True)
-    assert len(setups) == 1
-    assert len(calls) == len(traj) == 31
-    # the shared pass gives the same log-likelihood bits as a fresh one
-    assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
+    for rel_tol, steps in ((0.0, 30), (1e-6, 19)):
+        stop = StopRule(max_iters=30, rel_tol=rel_tol)
+        setups.clear()
+        calls.clear()
+        assert iterate_em(data.samples, theta0, stop)[1] == steps
+        assert len(setups) == 1 and len(calls) == steps
+        setups.clear()
+        calls.clear()
+        traj = run_em(data, theta0, stop, keep_iterates=True)
+        assert len(setups) == 1
+        assert len(calls) == len(traj) == steps + 1
+        assert traj.stop_reason is (StopReason.REL_CHANGE if rel_tol else StopReason.MAX_ITERS)
+        # the shared pass gives the same log-likelihood bits as a fresh one
+        assert [log_likelihood(data, th) for th in traj.iterates] == traj.loglik.tolist()
+    # a rule that fires on the last step max_iters allows still names the rule
+    assert run_em(data, theta0, StopRule(19, 1e-6)).stop_reason is StopReason.REL_CHANGE
+    assert run_em(data, theta0, StopRule(18, 1e-6)).stop_reason is StopReason.MAX_ITERS
 
 
 def test_iterates_are_run_ems_without_its_log_likelihoods():
@@ -518,8 +534,10 @@ def test_iterates_are_run_ems_without_its_log_likelihoods():
              (_data(s=1.0, d=1, n=20, seed=67), np.array([0.5]), StopRule(5000, 0.0)))
     for data, theta0, stop in cases:
         traj = run_em(data, theta0, stop, keep_iterates=True)
-        got = np.array([theta0, *sample_em._iterates(data.samples, theta0, stop)])
+        pairs = list(sample_em._iterates(data.samples, theta0, stop))
+        got = np.array([theta for theta, _ in pairs])
         assert got.tobytes() == traj.iterates.tobytes()
+        assert all(logcosh_sum is None for _, logcosh_sum in pairs)
     assert traj.stop_reason is StopReason.REL_CHANGE and len(traj) < 5001
 
 
@@ -801,3 +819,7 @@ def test_iterate_em_names_the_first_nonfinite_step():
         iterate_em(samples, np.array([0.5]), StopRule(max_iters=10, rel_tol=0.0))
     with pytest.raises(ValueError, match="step 1"):
         iterate_em(samples[:2], np.array([np.nan]), StopRule(max_iters=10, rel_tol=0.0))
+    # run_em too, on finite samples whose EM sum overflows: 1e308 + 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="step 1"):
+        data = Dataset(samples=np.full((2, 1), 1e308), seed=0, spec=ModelSpec.along_axis(1.0, 1))
+        run_em(data, np.array([1.0]), StopRule(max_iters=10, rel_tol=0.0))
