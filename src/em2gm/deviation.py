@@ -66,17 +66,16 @@ class ProbeGrid:
 
 
 def default_probe_grid(spec: ModelSpec, seed: int, n_directions: int = 32,
-                       n_radii: int = 24, r_max: float | None = None) -> ProbeGrid:
+                       n_radii: int = 24) -> ProbeGrid:
     """Random directions crossed with log-spaced radii in [1e-3, r_max].
 
-    The default ceiling 10 (sqrt(d) + s) is the radius inside which both the
+    The ceiling r_max = 10 (sqrt(d) + s) is the radius inside which both the
     sample and population maps provably stay, so probing beyond it is moot.
     """
     for name, count in (("n_directions", n_directions), ("n_radii", n_radii)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
-    if r_max is None:
-        r_max = 10.0 * (math.sqrt(spec.d) + spec.s)
+    r_max = 10.0 * (math.sqrt(spec.d) + spec.s)
     rng = make_generator(seed)
     dirs = standard_normals(rng, (n_directions, spec.d))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)

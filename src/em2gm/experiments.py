@@ -409,17 +409,17 @@ class SublinearProbe:
 
 
 def sublinear_rate_probe(rule: QuadratureRule, T: int = 10_000,
-                         theta0: float = 1.0, fit_from: int = 100) -> SublinearProbe:
+                         fit_from: int = 100) -> SublinearProbe:
     """Slope of log theta_t vs log t for the signal-free population map.
 
     With no signal the map contracts only through its cubic term, so the
-    iterates decay like t^{-1/2}; the fit over t in [fit_from, T] recovers
-    that exponent.
+    iterates from theta_0 = 1 decay like t^{-1/2}; the fit over t in
+    [fit_from, T] recovers that exponent.
     """
     if T <= fit_from:
         raise ValueError("T must exceed fit_from")
     thetas = np.empty(T + 1)
-    thetas[0] = theta0
+    thetas[0] = 1.0
     for t in range(T):
         thetas[t + 1] = f_pop(thetas[t], 0.0, rule)
     ts = np.arange(fit_from, T + 1)

@@ -190,58 +190,54 @@ def em_map_batch(samples, thetas) -> np.ndarray:
     gives an empty (0, d) result.
 
     The thetas run in groups of _GROUP, each a pass of model._kernel over one
-    block of rows. One walk over the blocks applies every group to a block
-    while it sits in L2 and keeps the block's sums; a short last group takes
-    its own walk (drawing a stream again), as the kernel gives it longer
-    blocks. The blocks are split across os.cpu_count() workers with BLAS on
-    one thread, and the block sums are added in block order at the end: the
-    additions of one kernel pass per group over all n rows, so the bytes are
-    those and depend only on the inputs.
+    block of rows. One walk over blocks sized for the first group applies
+    every group, a short last one too, to a block while it sits in L2 and
+    keeps the block's sums, so a stream is drawn once. The blocks are split
+    across os.cpu_count() workers with BLAS on one thread, and the block sums
+    are added in block order at the end: the additions of one kernel pass per
+    group over all n rows in those blocks, so the bytes are those and depend
+    only on the inputs.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    k, full = thetas.shape[0], thetas.shape[0] - thetas.shape[0] % _GROUP
-    dtype = np.dtype(np.float64) if isinstance(samples, SampleStream) else samples.dtype
-    return np.concatenate([np.empty((0, samples.shape[1]), dtype), *(
-        _walk(samples, thetas[lo:hi], dtype) for lo, hi in ((0, full), (full, k)) if hi > lo)])
-
-
-def _walk(samples, thetas: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    # f_n at thetas, groups of one size, in one walk over the kernel's blocks
-    # of rows for that size. Each worker gets a run of blocks, a buffer of one
-    # block and a kernel set up on it (and on its first m columns, for a short
-    # last block), all made here in the calling thread, so their memory goes
-    # back to the main malloc arena; sums[b] keeps block b's sums. As in a
-    # (d, n) array of several blocks, the buffer's rows are one column longer
-    # than a block: numpy projects a contiguous (m, d) block by another path,
-    # whose bits can differ (seen for one theta at d >= 4 and m <= 3).
     (n, d), k = samples.shape, thetas.shape[0]
+    dtype = np.dtype(np.float64) if isinstance(samples, SampleStream) else samples.dtype
+    if k == 0:
+        return np.empty((0, d), dtype)
     if n == 0:
         raise ValueError("samples has no rows")
+    # Each worker gets a run of blocks, a buffer of one block and a kernel set
+    # up on it (or on its first m columns, for a short last block) per group
+    # size, all made here in the calling thread, so their memory goes back to
+    # the main malloc arena; sums[b] keeps block b's sums. A group of at most
+    # _GROUP thetas gets blocks at least this long from model._block, so each
+    # kernel is one block. As in a (d, n) array of several blocks, the
+    # buffer's rows are one column longer than a block: numpy projects a
+    # contiguous (m, d) block by another path, whose bits can differ (seen for
+    # one theta at d >= 4 and m <= 3).
     groups = [(lo, thetas[lo:lo + _GROUP]) for lo in range(0, k, _GROUP)]
-    block = min(n, _block(d, groups[0][1].shape[0], dtype.itemsize))
+    sizes = {g.shape[0]: g for _, g in groups}
+    block = min(n, _block(d, min(k, _GROUP), dtype.itemsize))
     count = -(-n // block)
     workers = min(os.cpu_count() or 1, count)
-    m = n - (count - 1) * block
     sums = np.empty((count, k, d), dtype)
     jobs = []
     for w in range(workers):
         buf = np.empty((d, block + (count > 1)), dtype)[:, :block]
-        kernels = {block: (buf, _kernel(buf.T, groups[0][1]))}
-        if w == workers - 1 and m < block:
-            kernels[m] = buf[:, :m], _kernel(buf[:, :m].T, groups[0][1])
-        jobs.append((w * count // workers, (w + 1) * count // workers, kernels))
+        rows = {block, n - (count - 1) * block} if w == workers - 1 else {block}
+        jobs.append((w * count // workers, (w + 1) * count // workers, buf,
+                     {(m, r): _kernel(buf[:, :m].T, g) for m in rows for r, g in sizes.items()}))
 
     def run(job):
-        first, last, kernels = job
+        first, last, buf, kernels = job
         read = samples.reader(first * block) if isinstance(samples, SampleStream) else None
         for b in range(first, last):
-            cols, f_n = kernels[min(block, n - b * block)]
+            cols = buf[:, :min(block, n - b * block)]
             if read is None:
                 np.copyto(cols, samples[b * block:b * block + cols.shape[1]].T)
             else:
                 read(cols)
             for lo, g in groups:
-                sums[b, lo:lo + g.shape[0]] = f_n(g)[0]
+                sums[b, lo:lo + g.shape[0]] = kernels[cols.shape[1], g.shape[0]](g)[0]
 
     _map_one_blas(run, jobs, workers)
     total = sums[0]

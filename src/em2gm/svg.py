@@ -53,9 +53,8 @@ def _transform(v: float, log: bool) -> float | None:
 
 
 def write_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
-                     ylabel: str = "", logx: bool = False, logy: bool = False,
-                     width: int = 640, height: int = 420) -> None:
-    """Write one chart: shared x against one or more named y series.
+                     ylabel: str = "", logx: bool = False, logy: bool = False) -> None:
+    """Write one chart, 640 x 420: shared x against one or more named y series.
 
     Points that do not fit the axes (non-finite, or nonpositive on a log
     axis) are dropped from their polyline rather than failing the chart.
@@ -81,6 +80,7 @@ def write_line_chart(path, x, series: dict, title: str = "", xlabel: str = "",
     if y0 == y1:
         y0, y1 = y0 - 0.5, y1 + 0.5
 
+    width, height = 640, 420
     px0, px1 = _MARGIN_L, width - _MARGIN_R
     py0, py1 = height - _MARGIN_B, _MARGIN_T
 

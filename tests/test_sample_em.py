@@ -310,12 +310,14 @@ def _blocks_of(nbytes):
 
 def _batch_by_blocks(samples, thetas, nbytes=None, group=None):
     # Reference batch map: the blocked reference kernel on each group of
-    # thetas in turn, BLAS on one thread
+    # thetas in turn, every group over the first group's blocks, BLAS on one
+    # thread
     yt = np.ascontiguousarray(samples.T)
     group = group or sample_em._GROUP
     groups = [thetas[lo:lo + group] for lo in range(0, thetas.shape[0], group)]
+    block = _block(yt.shape[0], yt.dtype, groups[0].shape[0], nbytes)
     return np.concatenate(sample_em._map_one_blas(
-        lambda g: _f_n_by_blocks(yt, g, nbytes)[0], groups, 1))
+        lambda g: _f_n_by_blocks(yt, g, block=block)[0], groups, 1))
 
 
 def _batch_on(cores, samples, thetas, group=None):
@@ -428,6 +430,23 @@ def test_em_map_batch_from_a_stream_rejects_a_nonfinite_sample(monkeypatch, core
     assert len(drawn) >= 4
 
 
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
+def test_em_map_batch_draws_a_stream_once(monkeypatch, k):
+    # one walk at any k: a short last group of thetas (k = 5, 9 over groups
+    # of 4) runs on the full groups' blocks, so the n rows are drawn once
+    draw, drawn = model._draw_rows, []
+    map_one_blas, walks = sample_em._map_one_blas, []
+    monkeypatch.setattr(model, "_draw_rows",
+                        lambda rng, theta_star, cols: drawn.append(cols.shape[1])
+                        or draw(rng, theta_star, cols))
+    monkeypatch.setattr(sample_em, "_map_one_blas",
+                        lambda *args: walks.append(1) or map_one_blas(*args))
+    thetas = np.random.default_rng(65).normal(size=(k, 2))
+    with _blocks_of(300 * 4 * 8):  # blocks of 300 rows for a group of 4
+        _batch_on(2, SampleStream(ModelSpec.along_axis(1.0, 2), 3000, 65), thetas, group=4)
+    assert sum(drawn) == 3000 and len(walks) == 1
+
+
 def test_em_map_batch_default_block_is_a_mebibyte(monkeypatch):
     # d=2, k=192 runs as 4 groups of 48 thetas, each over blocks of
     # 1 MiB // (48 * 8) = 2730 rows, the last of n=1e5 1720 rows long
@@ -476,13 +495,13 @@ def test_em_map_batch_runs_blas_on_one_thread_and_restores_it(monkeypatch):
     before = get()
     try:
         set_(2)
-        # groups of 48, 48, 48, 48 over two blocks of rows, 2730 and 2270,
-        # then the group of 8 over one block of all 5000
+        # groups of 48, 48, 48, 48 and 8, each over two blocks of rows, 2730
+        # and 2270
         _batch_on(3, data.samples, np.ones((200, 2)))
         assert get() == 2
     finally:
         set_(before)
-    assert len(seen) == 9 and set(seen) == {1}
+    assert len(seen) == 10 and set(seen) == {1}
 
 
 def test_em_map_batch_error_in_a_block_is_raised():
@@ -582,13 +601,13 @@ def test_many_blocks_keep_the_bitwise_identities(d):
         assert np.all(em_map(data, th) - th - grad_log_likelihood(data, th) == 0.0)
 
 
-def _f_n_by_blocks(yt, theta, nbytes=None):
-    # Reference kernel: the feature-major (d, n) samples in column blocks,
-    # inner products with one theta (d,) or k stacked thetas (k, d) by
-    # matmul, block sums added in block order from the first, and the
-    # logcosh sum taken block by block.
+def _f_n_by_blocks(yt, theta, nbytes=None, block=None):
+    # Reference kernel: the feature-major (d, n) samples in column blocks (of
+    # ``block`` columns if given, else the kernel's own), inner products with
+    # one theta (d,) or k stacked thetas (k, d) by matmul, block sums added in
+    # block order from the first, and the logcosh sum taken block by block.
     d, n = yt.shape
-    block = _block(d, yt.dtype, 1 if theta.ndim == 1 else theta.shape[0], nbytes)
+    block = block or _block(d, yt.dtype, 1 if theta.ndim == 1 else theta.shape[0], nbytes)
     sums, logcosh_sum = [], 0.0
     for lo in range(0, n, block):
         cols = yt[:, lo:lo + block]
