@@ -30,10 +30,13 @@ library's routines (_openblas), which sample_em's BLAS thread control uses too.
 There is one sampler, _draw_rows: SampleStream draws any range of rows with
 it from a generator positioned at its first row and checks them finite, so
 the batch map's workers draw their own blocks of one stream and the
-deviation probe never holds all n rows. sample_dataset fills the (d, n)
-block from the same stream in chunks of 1 MiB of uniforms, and Dataset
-checks it and sums its squared row norms one leaf of rows at a time (same
-bits as one pass), so sampling holds the block and one chunk at its peak.
+deviation probe never holds all n rows. _draw_rows draws at most
+_DRAW_BYTES (128 KiB) of uniforms at a time, a working set of its own apart
+from the kernel's blocks, so sample_dataset fills the (d, n) block with one
+call and a stream's read of a large block is bounded too. Dataset checks the
+block and sums its squared row norms one leaf of at most _DRAW_BYTES of rows
+at a time (same bits as one pass), so sampling holds the block and a few
+times _DRAW_BYTES more at its peak.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ class Dataset:
     log-likelihood, computed once here; the instance may be shared across
     sweep threads, and nothing about it changes after construction.
 
-    One pass over leaves of rows, each at most _BLOCK_BYTES of samples (and
+    One pass over leaves of rows, each at most _DRAW_BYTES of samples (and
     at least 128 rows), rejects non-finite samples and sums the squared row
     norms, so construction needs O(leaf) memory beyond the samples, not
     O(n d). Ranges of more rows than a leaf split in half, less the half's
@@ -150,7 +153,7 @@ class Dataset:
             object.__setattr__(self, "samples", y)
         # numpy sums runs of up to 128 values in eight lanes, so only longer
         # ranges may split
-        leaf = max(128, _BLOCK_BYTES // (y.shape[1] * y.itemsize))
+        leaf = max(128, _DRAW_BYTES // (y.shape[1] * y.itemsize))
         object.__setattr__(self, "mean_sq_norm", float(_sum_sq_norms(y, leaf) / y.shape[0]))
 
     @property
@@ -178,17 +181,14 @@ def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
     """Draw n iid samples from the mixture, deterministically in ``seed``.
 
     The rows are those of SampleStream(spec, n, seed), drawn by the same
-    _draw_rows in chunks of _BLOCK_BYTES of uniforms straight into their
+    _draw_rows, _DRAW_BYTES of uniforms at a time, straight into their
     columns of the feature-major (d, n) block, so peak memory is the block
-    plus one chunk. Dataset checks them finite.
+    plus one chunk of uniforms. Dataset checks them finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_generator(seed)
     yt = np.empty((spec.d, n))
-    chunk = max(1, _BLOCK_BYTES // ((spec.d + 1) * 8))
-    for lo in range(0, n, chunk):
-        _draw_rows(rng, spec.theta_star, yt[:, lo:lo + chunk])
+    _draw_rows(make_generator(seed), spec.theta_star, yt)
     yt.setflags(write=False)
     return Dataset(samples=yt.T, seed=int(seed), spec=spec)
 
@@ -229,16 +229,32 @@ class SampleStream:
         return read
 
 
+# Bytes of uniforms per draw of _draw_rows, the sampler's working set, kept
+# apart from the kernel's blocks. On a 2-core Xeon, after five risk-compare
+# runs at d=10 (two sweep threads, each sampling (10, 1e5) datasets of
+# 7.6 MiB) each thread's malloc arena held 9.9 MiB with 1 MiB chunks and
+# 8.1 MiB with 128 KiB ones. A dataset took 28.5 against 27.1 ms to draw
+# (medians of 60 alternating draws, one thread); two threads drawing a dataset
+# each took 43, 50, 53 and 63 ms at 1 MiB, 128, 64 and 32 KiB (medians of 5).
+_DRAW_BYTES = 1 << 17
+
+
 def _draw_rows(rng: np.random.Generator, theta_star: np.ndarray, cols: np.ndarray) -> None:
     # The next cols.shape[1] rows of the stream into the (d, m) column slice
-    # cols; the chunk's uniforms and signs are freed on return.
-    u = open_uniforms(rng, (cols.shape[1], cols.shape[0] + 1))
-    ndtri(u[:, 1:].T, out=cols)
+    # cols, in chunks of at most _DRAW_BYTES of uniforms (one row at least);
+    # consecutive draws continue the stream, so any chunking gives the bytes
+    # of one draw. Each chunk's uniforms and signs are freed before the next.
+    d, m = cols.shape
+    chunk = max(1, _DRAW_BYTES // ((d + 1) * 8))
     nonzero = np.flatnonzero(theta_star)  # no normal is -0: skipping zeros keeps the bits
-    if nonzero.size:
-        signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
-        for j in nonzero:
-            cols[j] += theta_star[j] * signs
+    for lo in range(0, m, chunk):
+        part = cols[:, lo:lo + chunk]
+        u = open_uniforms(rng, (part.shape[1], d + 1))
+        ndtri(u[:, 1:].T, out=part)
+        if nonzero.size:
+            signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
+            for j in nonzero:
+                part[j] += theta_star[j] * signs
 
 
 def loss(theta_hat, theta) -> float:
@@ -261,9 +277,7 @@ def logcosh(x):
 # inner products stay in L2 from projection to reduction: 512 KiB ran the d=1
 # float32 sweep fastest, 1 MiB the d=10 sweep on two threads. With k thetas a
 # block has bytes // (max(d, k) * itemsize) columns, so that its (block, k)
-# inner products fit in the same bytes. sample_dataset draws its uniforms in
-# chunks of _BLOCK_BYTES too: 256 KiB to 4 MiB ran within noise of each other
-# (d = 1, 2 at n = 1e6, d = 10 at n = 1e5), and 1 MiB keeps its peak small.
+# inner products fit in the same bytes. Sampling has its own _DRAW_BYTES.
 _BLOCK_BYTES_1D, _BLOCK_BYTES = 1 << 19, 1 << 20
 
 

@@ -25,10 +25,12 @@ ones move in their last bits.
 
 em_map_batch, behind the deviation probe, runs the same kernel on groups of
 thetas in one walk over blocks of rows, from an array or drawn from a
-model.SampleStream; the blocks are split across the cores with BLAS on one
-thread (_map_one_blas, which runs the sweeps' cells too), so its bytes depend
-only on the inputs. The thread count is set through model._openblas, the
-lookup of the bundled OpenBLAS that the kernel's reductions use too.
+model.SampleStream; the cores take runs of a few blocks in turn, with BLAS on
+one thread (_map_one_blas, which runs the sweeps' cells too), and the block
+sums are folded in block order as the runs complete, so its bytes depend only
+on the inputs and its memory does not grow with the number of thetas. The
+thread count is set through model._openblas, the lookup of the bundled
+OpenBLAS that the kernel's reductions use too.
 """
 
 from __future__ import annotations
@@ -180,6 +182,10 @@ def _map_one_blas(fn, items, threads: int) -> list:
 # 0.26-0.27 s and of 96 0.39 s (100 thetas split unevenly over two cores);
 # at d=2, n=1e6, k=192 groups of 32 to 96 were within noise (0.33-0.43 s).
 _GROUP = 48
+# Blocks per run that a worker of em_map_batch takes at a time: few enough
+# that the workers finish together and that the sums kept for the fold stay
+# small, enough that a stream's generator is positioned once per few blocks.
+_RUN = 4
 
 
 def em_map_batch(samples, thetas) -> np.ndarray:
@@ -191,58 +197,87 @@ def em_map_batch(samples, thetas) -> np.ndarray:
 
     The thetas run in groups of _GROUP, each a pass of model._kernel over one
     block of rows. One walk over blocks sized for the first group applies
-    every group, a short last one too, to a block while it sits in L2 and
-    keeps the block's sums, so a stream is drawn once. The blocks are split
-    across os.cpu_count() workers with BLAS on one thread, and the block sums
-    are added in block order at the end: the additions of one kernel pass per
-    group over all n rows in those blocks, so the bytes are those and depend
-    only on the inputs.
+    every group, a short last one too, to a block while it sits in L2, so a
+    stream is drawn once. os.cpu_count() workers, BLAS on one thread, take
+    runs of _RUN blocks in turn from a shared counter, and the block sums are
+    folded in block order from block 0 as the runs complete; a run's sums are
+    kept only until every earlier run is folded. Those are the additions of
+    one kernel pass per group over all n rows in those blocks, so the bytes
+    are those and depend only on the inputs. Once a worker raises, the others
+    take no further runs.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     (n, d), k = samples.shape, thetas.shape[0]
-    dtype = np.dtype(np.float64) if isinstance(samples, SampleStream) else samples.dtype
+    stream = isinstance(samples, SampleStream)
+    dtype = np.dtype(np.float64) if stream else samples.dtype
     if k == 0:
         return np.empty((0, d), dtype)
     if n == 0:
         raise ValueError("samples has no rows")
-    # Each worker gets a run of blocks, a buffer of one block and a kernel set
-    # up on it (or on its first m columns, for a short last block) per group
-    # size, all made here in the calling thread, so their memory goes back to
-    # the main malloc arena; sums[b] keeps block b's sums. A group of at most
-    # _GROUP thetas gets blocks at least this long from model._block, so each
-    # kernel is one block. As in a (d, n) array of several blocks, the
-    # buffer's rows are one column longer than a block: numpy projects a
-    # contiguous (m, d) block by another path, whose bits can differ (seen for
-    # one theta at d >= 4 and m <= 3).
+    # Each worker gets a buffer of one block and a kernel set up on it per
+    # group size, and a short last block its own buffer and kernels, as it
+    # falls in one run; all are made here in the calling thread, so their
+    # memory goes back to the main malloc arena. A group of at most _GROUP
+    # thetas gets blocks at least this long from model._block, so each kernel
+    # is one block. As in a (d, n) array of several blocks, a buffer's rows
+    # are one column longer than its block: numpy projects a contiguous
+    # (m, d) block by another path, whose bits can differ (seen for one theta
+    # at d >= 4 and m <= 3).
     groups = [(lo, thetas[lo:lo + _GROUP]) for lo in range(0, k, _GROUP)]
     sizes = {g.shape[0]: g for _, g in groups}
     block = min(n, _block(d, min(k, _GROUP), dtype.itemsize))
     count = -(-n // block)
-    workers = min(os.cpu_count() or 1, count)
-    sums = np.empty((count, k, d), dtype)
-    jobs = []
-    for w in range(workers):
-        buf = np.empty((d, block + (count > 1)), dtype)[:, :block]
-        rows = {block, n - (count - 1) * block} if w == workers - 1 else {block}
-        jobs.append((w * count // workers, (w + 1) * count // workers, buf,
-                     {(m, r): _kernel(buf[:, :m].T, g) for m in rows for r, g in sizes.items()}))
 
-    def run(job):
-        first, last, buf, kernels = job
-        read = samples.reader(first * block) if isinstance(samples, SampleStream) else None
-        for b in range(first, last):
-            cols = buf[:, :min(block, n - b * block)]
+    def setup(m):
+        buf = np.empty((d, m + (count > 1)), dtype)[:, :m]
+        return buf, {r: _kernel(buf.T, g) for r, g in sizes.items()}
+
+    workers = min(os.cpu_count() or 1, -(-count // _RUN))
+    slots = [setup(block) for _ in range(workers)]
+    last = n - (count - 1) * block
+    short = setup(last) if last < block else None
+    lock, runs, kept = threading.Lock(), iter(range(0, count, _RUN)), {}
+    total, folded, failed = None, 0, False
+
+    def take():
+        with lock:
+            return None if failed else next(runs, None)
+
+    def fold(first, sums):
+        # left fold of the block sums in block order, from block 0
+        nonlocal total, folded
+        with lock:
+            kept[first] = sums
+            while folded in kept:
+                for part in kept.pop(folded):
+                    total = part if total is None else np.add(total, part, out=total)
+                    folded += 1
+
+    def walk(slot, first):
+        # the sums of the blocks of the run that starts at block ``first``
+        blocks = range(first, min(first + _RUN, count))
+        sums = np.empty((len(blocks), k, d), dtype)
+        read = samples.reader(first * block) if stream else None
+        for i, b in enumerate(blocks):
+            cols, kernels = short if short and b == count - 1 else slot
             if read is None:
                 np.copyto(cols, samples[b * block:b * block + cols.shape[1]].T)
             else:
                 read(cols)
             for lo, g in groups:
-                sums[b, lo:lo + g.shape[0]] = kernels[cols.shape[1], g.shape[0]](g)[0]
+                sums[i, lo:lo + g.shape[0]] = kernels[g.shape[0]](g)[0]
+        return sums
 
-    _map_one_blas(run, jobs, workers)
-    total = sums[0]
-    for part in sums[1:]:
-        np.add(total, part, out=total)
+    def work(slot):
+        nonlocal failed
+        try:
+            while (first := take()) is not None:
+                fold(first, walk(slot, first))
+        except BaseException:
+            failed = True
+            raise
+
+    _map_one_blas(work, slots, workers)
     return total / n
 
 

@@ -1,4 +1,5 @@
-"""Brute-force counterparts of closed forms in em2gm, used only by the tests."""
+"""Brute-force counterparts of closed forms in em2gm, and checks shared by
+several test files, used only by the tests."""
 
 import math
 
@@ -21,6 +22,25 @@ def tanh_sup_grid_search(x: float, y: float) -> float:
     thetas = np.concatenate([mags, -mags])
     num = np.abs(x * np.tanh(x * thetas) - y * np.tanh(y * thetas))
     return float(np.max(num / np.abs(thetas)))
+
+
+def fg_inequality_violation(a: float, b: float, s: float, fa: float, F: float,
+                            G: float) -> float:
+    """Largest violation of criterion 08's suite for the two-coordinate maps.
+
+    F = F(a, b) and G = G(a, b) at signal s, and fa = f(a); with r2 = a^2 +
+    b^2 and c = sqrt(2/pi) the suite is G <= b (1 - r2 / (2 + 4 r2)),
+    f(a) - (1 + s^2) a b^2 <= F <= f(a), |F| <= s + c and 0 <= G <= c. Each
+    is measured as left minus right side, so a value <= 0 means it holds.
+    """
+    bound = math.sqrt(2.0 / math.pi)
+    r2 = a * a + b * b
+    return max(G - b * (1.0 - r2 / (2.0 + 4.0 * r2)),
+               F - fa,
+               (fa - (1.0 + s * s) * a * b * b) - F,
+               abs(F) - (s + bound),
+               -G,
+               G - bound)
 
 
 def f_pop_com(theta: float, s: float, rule) -> float:

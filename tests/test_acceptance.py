@@ -24,7 +24,7 @@ from em2gm.model import ModelSpec, log_likelihood, loss, sample_dataset
 from em2gm.population import F_pop, G_pop, f_pop, invert_q, q_pop, sandwich_sequences
 from em2gm.rng import derive_seed
 from em2gm.sample_em import StopRule, em_map, em_map_batch, run_em
-from oracles import tanh_sup_grid_search
+from oracles import fg_inequality_violation, tanh_sup_grid_search
 
 # sweep bytes do not depend on the thread count, so the rate criteria use every core
 _CORES = os.cpu_count() or 1
@@ -148,7 +148,6 @@ def test_criterion_07_population_map_stays_in_span(rule):
 
 def test_criterion_08_two_coordinate_map_inequalities(rule, rule160):
     grid = np.linspace(0.0, 3.0, 13)
-    bound = math.sqrt(2.0 / math.pi)
     worst_eq = 0.0  # F(0,b) and G(a,0) against zero
     worst_ineq = -math.inf  # violations of the inequality suite
     worst_order = 0.0  # order-80 vs order-160 disagreement
@@ -162,14 +161,8 @@ def test_criterion_08_two_coordinate_map_inequalities(rule, rule160):
                     worst_eq = max(worst_eq, abs(F))
                 if b == 0.0:
                     worst_eq = max(worst_eq, abs(G))
-                r2 = a * a + b * b
                 worst_ineq = max(worst_ineq,
-                                 G - b * (1.0 - r2 / (2.0 + 4.0 * r2)),
-                                 F - fa,
-                                 (fa - (1.0 + s * s) * a * b * b) - F,
-                                 abs(F) - (s + bound),
-                                 -G,
-                                 G - bound)
+                                 fg_inequality_violation(float(a), float(b), s, fa, F, G))
                 worst_order = max(
                     worst_order,
                     abs(F - F_pop(float(a), float(b), s, rule160)),

@@ -137,16 +137,17 @@ def test_sample_dataset_is_the_one_shot_recipe_across_chunks(spec, rows, chunks,
     # chunk edge: the bytes of drawing and transforming all n rows at once
     nbytes = rows * (spec.d + 1) * 8 + data.draw(st.integers(0, (spec.d + 1) * 8 - 1))
     n = max(1, chunks * rows + edge)
-    with mock.patch.object(model, "_BLOCK_BYTES", nbytes):
+    with mock.patch.object(model, "_DRAW_BYTES", nbytes):
         got = sample_dataset(spec, n, seed)
     assert got.samples.T.tobytes() == sample_rows_reference(spec, n, seed).T.tobytes()
 
 
 @pytest.mark.parametrize("d, s", [(1, 0.0), (2, 1.0), (10, 0.3)])
 def test_sample_dataset_peak_memory_is_the_block_and_one_chunk(d, s):
-    # the (d, n) block and 2 MiB for one 1 MiB chunk of uniforms and its
-    # signs, or for one leaf of Dataset's finite check and row-norm sum;
-    # n = 1e5 at d = 10 as in the risk-10d cells
+    # the (d, n) block and 4 * _DRAW_BYTES (512 KiB) for one chunk of
+    # uniforms and its signs, or for one leaf of Dataset's finite check and
+    # row-norm sum: measured 270-322 KiB above the block, against 1.2-2.0 MiB
+    # with 1 MiB chunks and leaves; n = 1e5 at d = 10 as in the risk-10d cells
     n, spec = (100_000 if d == 10 else 1_000_000), ModelSpec.along_axis(s, d)
     sample_dataset(spec, 1000, 0)
     tracemalloc.start()
@@ -155,7 +156,7 @@ def test_sample_dataset_peak_memory_is_the_block_and_one_chunk(d, s):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n * d * 8 + 2 * 2**20
+    assert peak <= n * d * 8 + 4 * model._DRAW_BYTES, (peak - n * d * 8) / 2**10
 
 
 @pytest.mark.parametrize("theta_star, n, seed, digest", [
@@ -210,7 +211,7 @@ def _layouts(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     kind = draw(st.sampled_from(["sampled", "c_rows", "f_rows", "strided", "read_only_rows"]))
     if kind == "sampled":
-        with mock.patch.object(model, "_BLOCK_BYTES", nbytes):
+        with mock.patch.object(model, "_DRAW_BYTES", nbytes):
             return sample_dataset(ModelSpec.along_axis(0.8, d), n, seed).samples, nbytes
     rows = 3.0 * np.random.default_rng(seed).standard_normal((2 * n, d))
     if kind == "c_rows":
@@ -230,7 +231,7 @@ def _layouts(draw):
 def test_mean_sq_norm_is_the_one_shot_expression_bitwise(layout):
     samples, nbytes = layout
     spec = ModelSpec.along_axis(1.0, samples.shape[1])
-    with mock.patch.object(model, "_BLOCK_BYTES", nbytes):
+    with mock.patch.object(model, "_DRAW_BYTES", nbytes):
         data = Dataset(samples=samples, seed=0, spec=spec)
     rows = data.samples
     assert rows.tobytes() == np.ascontiguousarray(samples).tobytes()
@@ -246,7 +247,7 @@ def test_dataset_finds_nonfinite_samples_in_every_leaf(copied):
     d, n = 3, 5 * 128 + 37
     spec = ModelSpec.along_axis(1.0, d)
     rows = sample_dataset(spec, n, 4).samples
-    with mock.patch.object(model, "_BLOCK_BYTES", 128 * d * 8):
+    with mock.patch.object(model, "_DRAW_BYTES", 128 * d * 8):
         assert Dataset(samples=rows, seed=4, spec=spec).samples is rows
         for i in range(n):
             for bad in (math.nan, math.inf, -math.inf):
@@ -428,13 +429,14 @@ def test_chi2_monte_carlo_oracle():
 def test_rows_from_a_positioned_stream_are_that_slice_of_the_dataset(d, s, quads, rest, count,
                                                                       seed):
     # rows [a, b) drawn from row a on, over every row offset mod 4 and chunk
-    # edges (chunks of 128 rows here), equal those rows of sample_dataset
+    # edges (chunks of 128 rows here, in the dataset and in the one read of
+    # the stream), equal those rows of sample_dataset
     a = 4 * quads + rest
     spec = ModelSpec.along_axis(s, d)
-    with mock.patch.object(model, "_BLOCK_BYTES", 128 * (d + 1) * 8):
-        want = sample_dataset(spec, a + count, seed).samples.T[:, a:]
     cols = np.empty((d, count))
-    SampleStream(spec, a + count, seed).reader(a)(cols)
+    with mock.patch.object(model, "_DRAW_BYTES", 128 * (d + 1) * 8):
+        want = sample_dataset(spec, a + count, seed).samples.T[:, a:]
+        SampleStream(spec, a + count, seed).reader(a)(cols)
     assert cols.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
@@ -442,3 +444,18 @@ def test_a_sample_stream_has_the_dataset_shape_and_rejects_no_rows():
     assert SampleStream(ModelSpec.along_axis(1.0, 3), 10, 0).shape == (10, 3)
     with pytest.raises(ValueError, match="n must be >= 1"):
         SampleStream(ModelSpec.along_axis(1.0, 3), 0, 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_sampling_draws_at_most_draw_bytes_of_uniforms_at_a_time(monkeypatch, d):
+    # a dataset and one read of a large block of a stream, each far over one
+    # chunk: every draw of uniforms is at most _DRAW_BYTES and all of them
+    # together are the n rows
+    uniforms, shapes = model.open_uniforms, []
+    monkeypatch.setattr(model, "open_uniforms",
+                        lambda rng, shape: shapes.append(shape) or uniforms(rng, shape))
+    spec, n = ModelSpec.along_axis(1.0, d), 20 * model._DRAW_BYTES // ((d + 1) * 8) + 3
+    sample_dataset(spec, n, 7)
+    SampleStream(spec, n, 7).reader(0)(np.empty((d, n)))
+    assert sum(rows for rows, _ in shapes) == 2 * n
+    assert all(rows * cols * 8 <= model._DRAW_BYTES and cols == d + 1 for rows, cols in shapes)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from em2gm.population import (
@@ -16,7 +18,7 @@ from em2gm.population import (
     q_pop,
     sandwich_sequences,
 )
-from oracles import f_pop_com
+from oracles import f_pop_com, fg_inequality_violation
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -236,3 +238,12 @@ def test_sandwich_validates_inputs(rule):
 def test_build_rule_orders_differ():
     assert build_rule(40).order == 40
     assert build_rule(40)._z.shape == (40,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+def test_FG_inequality_suite_holds_off_the_grid(rule, alpha, beta, s):
+    # criterion 08's six inequalities, with its 1e-6 slack, at any (alpha,
+    # beta) in [0, 3]^2 and s in [0, 1], not only on its 13 x 13 grid at three s
+    F, G = F_pop(alpha, beta, s, rule), G_pop(alpha, beta, s, rule)
+    assert fg_inequality_violation(alpha, beta, s, f_pop(alpha, s, rule), F, G) <= 1e-6

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -428,6 +429,77 @@ def test_em_map_batch_from_a_stream_rejects_a_nonfinite_sample(monkeypatch, core
     with _blocks_of(100 * 48 * 8), pytest.raises(ValueError, match="finite"):
         _batch_on(cores, SampleStream(ModelSpec.along_axis(1.0, 2), 1000, 3), np.ones((48, 2)))
     assert len(drawn) >= 4
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_em_map_batch_stops_taking_runs_once_a_worker_raises(monkeypatch, cores):
+    # 400 blocks of 100 rows, 100 runs: a NaN in the second draw of all ends
+    # the walk after at most the runs the other workers are in, far below the
+    # n / 4 rows checked here (a worker that ran its whole share of the blocks
+    # would draw n / cores)
+    draw, drawn = model._draw_rows, []
+
+    def nan_in_second_draw(rng, theta_star, cols):
+        draw(rng, theta_star, cols)
+        drawn.append(cols.shape[1])
+        if len(drawn) == 2:
+            cols[0, 7] = np.nan
+
+    monkeypatch.setattr(model, "_draw_rows", nan_in_second_draw)
+    n = 40_000
+    with _blocks_of(100 * 4 * 8), pytest.raises(ValueError, match="finite"):
+        _batch_on(cores, SampleStream(ModelSpec.along_axis(1.0, 2), n, 9), np.ones((4, 2)),
+                  group=4)
+    assert 2 <= len(drawn) and sum(drawn) <= n // 4
+
+
+def test_em_map_batch_folds_runs_that_complete_out_of_order():
+    # the first run's reader waits until the other worker has drawn every
+    # other run, so all later runs complete first and are kept until it is
+    # folded; the bytes are those of the array, from which the fold starts at
+    # block 0 whatever the order
+    spec, n, others, waited = ModelSpec.along_axis(1.0, 2), 3000, [], []
+    done = threading.Event()
+
+    class FirstRunLast(SampleStream):
+        def reader(self, lo):
+            read = super().reader(lo)
+
+            def tracked(cols):
+                if lo == 0 and not waited:
+                    waited.append(done.wait(timeout=30))
+                read(cols)
+                if lo:
+                    others.append(cols.shape[1])
+                    if sum(others) == n - 4 * 100:
+                        done.set()
+            return tracked
+
+    thetas = np.random.default_rng(66).normal(size=(9, 2))
+    with _blocks_of(100 * 4 * 8):  # blocks of 100 rows, runs of 4 blocks
+        want = _batch_on(1, sample_dataset(spec, n, 66).samples, thetas, group=4)
+        got = _batch_on(2, FirstRunLast(spec, n, 66), thetas, group=4)
+    assert sample_em._RUN == 4 and waited == [True]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_em_map_batch_traced_peak_does_not_grow_with_k():
+    # d=2, n=1e6 from a stream on two workers: k=768 thetas (16 groups)
+    # against k=192 (4 groups), whose blocks are the same; the sums of all
+    # 367 blocks kept to the end would take 3.2 MiB more at k=768 than at
+    # k=192 (measured 2.79 against 2.68 MiB)
+    spec = ModelSpec.along_axis(1.0, 2)
+    _batch_on(2, SampleStream(spec, 1000, 5), np.ones((768, 2)))
+    peaks = {}
+    for k in (192, 768):
+        thetas = np.random.default_rng(k).normal(size=(k, 2))
+        tracemalloc.start()
+        try:
+            _batch_on(2, SampleStream(spec, 1_000_000, 5), thetas)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[768] <= peaks[192] + 2**19, {k: p / 2**20 for k, p in peaks.items()}
 
 
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
