@@ -3,9 +3,13 @@
 One subcommand per experiment. Options resolve in three layers: built-in
 defaults, then a flat JSON config file given with --config, then explicit
 flags, which always win. Every command honors --seed and is run-to-run
-deterministic; --dry-run validates the configuration and prints the resolved
-plan without computing anything. All floating-point output is printed with
-17 significant digits so values round-trip exactly.
+deterministic. --dry-run prints the resolved plan without computing
+anything; it checks only the flags and their types, the config file and its
+keys, and the ranges of --threads, --max-iters, --directions and --radii.
+What the run checks as it builds its objects (the initializer name, the
+--theta0 length, the dtype with its rel_tol, d, s, w) a dry run does not, so
+it can exit 0 where the run exits 1. All floating-point output is printed
+with 17 significant digits so values round-trip exactly.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -225,16 +229,16 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _init_spec(cfg: dict, d: int, seed: int = 0) -> InitSpec:
+def _init_spec(cfg: dict, d: int) -> InitSpec:
     names = _INITS if "theta0" in cfg else _INITS_NO_FIXED
     kind = _INIT_KINDS.get(cfg["init"])
     if kind not in {_INIT_KINDS[name] for name in names}:
         raise CliError(f"unknown init '{cfg['init']}'; expected one of {', '.join(names)}")
     if kind != "fixed":
-        return InitSpec(kind=kind, c0=cfg["c0"], seed=seed)
+        return InitSpec(kind=kind, c0=cfg["c0"])
     if len(cfg["theta0"]) != d:
         raise CliError(f"--theta0 has length {len(cfg['theta0'])}, expected d={d}")
-    return InitSpec(kind="fixed", fixed_value=cfg["theta0"], c0=cfg["c0"], seed=seed)
+    return InitSpec(kind="fixed", fixed_value=cfg["theta0"], c0=cfg["c0"])
 
 
 def _sweep_config(cfg: dict, n_grid, s_grid, path: Path) -> exp.ExperimentConfig:
@@ -256,7 +260,7 @@ def _cmd_trajectory(cfg: dict, out: Path) -> str:
     data = sample_dataset(spec, cfg["n"], cfg["seed"])
     theta0 = make_init(_init_spec(cfg, cfg["d"]), data, seed=derive_seed(cfg["seed"], 1))
     stop = StopRule.for_n(cfg["n"], cfg["c_iter"], cfg["rel_tol"], cfg["max_iters"])
-    traj = run_em(data, theta0, stop, spec, keep_iterates=True)
+    traj = run_em(data, theta0, stop, keep_iterates=True)
     path = out / "trajectory.csv"
     traj.to_csv(path)
     t = np.arange(len(traj))
@@ -324,7 +328,7 @@ def _cmd_deviation(cfg: dict, out: Path) -> str:
     data = SampleStream(spec, cfg["n"], cfg["seed"])
     grid = dev.default_probe_grid(spec, derive_seed(cfg["seed"], 1),
                                   n_directions=cfg["directions"], n_radii=cfg["radii"])
-    probe = dev.relative_lipschitz_probe(data, spec, grid, rule)
+    probe = dev.relative_lipschitz_probe(data, grid, rule)
     path = out / "deviation.csv"
     probe.to_csv(path)
     return f"sup_ratio={_fmt(probe.sup_ratio)} -> {path}"
@@ -333,8 +337,8 @@ def _cmd_deviation(cfg: dict, out: Path) -> str:
 def _cmd_mle_probe(cfg: dict, out: Path) -> str:
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
     data = sample_dataset(spec, cfg["n"], cfg["seed"])
-    init = _init_spec(cfg, cfg["d"], seed=derive_seed(cfg["seed"], 1))
-    probe = exp.mle_contraction_probe(data, spec, init, cfg["burn_in"], cfg["extra"])
+    theta0 = make_init(_init_spec(cfg, cfg["d"]), data, seed=derive_seed(cfg["seed"], 1))
+    probe = exp.mle_contraction_probe(data, theta0, cfg["burn_in"], cfg["extra"])
     path = out / "mle_probe.csv"
     probe.to_csv(path)
     max_r = "none" if probe.max_ratio is None else _fmt(probe.max_ratio)

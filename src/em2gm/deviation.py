@@ -18,7 +18,9 @@ plus an analytic tail. No quadrature error enters anywhere.
 The grid probe evaluates f_n at every probe point in one walk of the batch
 map over the samples. Given a model.SampleStream instead of a Dataset, it
 draws them block by block on every core and holds O(block x cores) samples
-instead of n x d, with the same bytes.
+instead of n x d, with the same bytes. Each probe takes the data alone and
+reads the truth, ``data.spec``, from it, so a sample cannot be paired with
+another center.
 """
 
 from __future__ import annotations
@@ -47,14 +49,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbeGrid:
-    """Probe set: every direction paired with every radius."""
+    """Probe set: every direction paired with every radius.
+
+    The probe divides each gap by its radius, which is |theta| only for a
+    unit direction, so the directions must be finite with norms within 1e-12
+    of 1 and the radii finite and positive, with k, m >= 1.
+    """
 
     directions: np.ndarray  # (k, d) unit vectors
     radii: np.ndarray       # (m,) positive radii
 
     def __post_init__(self):
-        if np.any(self.radii <= 0.0):
-            raise ValueError("all radii must be positive")
+        shapes = self.directions.shape, self.radii.shape
+        if len(shapes[0]) != 2 or len(shapes[1]) != 1 or 0 in shapes[0] + shapes[1]:
+            raise ValueError(f"grid shapes must be (k, d) and (m,) with k, d, m >= 1, got {shapes}")
+        if not np.all(np.isfinite(self.radii) & (self.radii > 0.0)):
+            raise ValueError("all radii must be finite and positive")
+        if not np.all(np.abs(np.linalg.norm(self.directions, axis=1) - 1.0) <= 1e-12):
+            raise ValueError("directions must be finite unit vectors (norms within 1e-12 of 1)")
         self.directions.setflags(write=False)
         self.radii.setflags(write=False)
 
@@ -127,13 +139,15 @@ def population_map_ddim(theta, spec: ModelSpec, rule: QuadratureRule) -> np.ndar
     return out
 
 
-def relative_lipschitz_probe(data: Dataset | SampleStream, spec: ModelSpec, grid: ProbeGrid,
+def relative_lipschitz_probe(data: Dataset | SampleStream, grid: ProbeGrid,
                              rule: QuadratureRule) -> DeviationProbe:
     """Evaluate |f_n(theta) - f(theta)| / |theta| on the grid, report the sup.
 
     ``data`` is a Dataset, or the SampleStream of the same (spec, n, seed),
-    which gives the same bytes and never holds the n x d samples.
+    which gives the same bytes and never holds the n x d samples; f is the
+    population map of its ``spec``.
     """
+    spec = data.spec
     thetas = grid.thetas()
     k, m = grid.directions.shape[0], grid.radii.shape[0]
     fn = em_map_batch(data if isinstance(data, SampleStream) else data.samples, thetas)
@@ -163,20 +177,19 @@ def _sq_cdf_anti(t: np.ndarray, s: float) -> np.ndarray:
             + (u + s) * _phi(u - s) + (u - s) * _phi(u + s) - t)
 
 
-def w1_squared_empirical(data: Dataset, spec: ModelSpec | None = None) -> float:
+def w1_squared_empirical(data: Dataset) -> float:
     """W1 distance between the empirical and population laws of Y^2, d = 1.
 
-    Exact piecewise integration of |F_n - F|: on each interval between
-    consecutive order statistics the empirical CDF is constant and F has a
-    closed-form antiderivative, so every piece is evaluated analytically
-    once the crossing point (if any) is located by bisection in sqrt(t).
-    The tail integral past the largest sample is analytic as well.
+    Exact piecewise integration of |F_n - F|, F the law of ``data.spec``:
+    on each interval between consecutive order statistics the empirical CDF
+    is constant and F has a closed-form antiderivative, so every piece is
+    evaluated analytically once the crossing point (if any) is located by
+    bisection in sqrt(t). The tail integral past the largest sample is
+    analytic as well.
     """
     if data.d != 1:
         raise ValueError("W1 of squared samples is defined for d = 1 only")
-    if spec is None:
-        spec = data.spec
-    s = spec.s
+    s = data.spec.s
     t = np.sort(np.square(data.samples[:, 0]))
     n = t.size
     anti = _sq_cdf_anti(t, s)

@@ -14,6 +14,8 @@ deviation probe, which uses all cores the same way. The workers are threads:
 tanh and the direct BLAS reduction of the f_n kernel run without the GIL, as
 does its projection at d = 1, but at d >= 2 the projection of one theta is a
 matrix-vector np.matmul, which holds the GIL, so the workers take turns on it.
+The MLE contraction probe takes a dataset and the start vector its caller
+made with make_init, and reads the truth from the dataset's spec.
 """
 
 from __future__ import annotations
@@ -320,25 +322,25 @@ class ContractionProbe:
         write_table(path, ("t", "ratio"), range(self.ratios.size), self.ratios)
 
 
-def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,
-                          burn_in: int, extra: int) -> ContractionProbe:
+def mle_contraction_probe(data: Dataset, theta0, burn_in: int, extra: int) -> ContractionProbe:
     """Ratios |theta_{t+1} - theta_inf| / |theta_t - theta_inf| after burn-in.
 
-    Runs EM for burn_in + extra + 50 steps with the relative stop disabled,
-    takes the final iterate as theta_inf, and reports the ratio sequence for
-    t in the ``extra`` window. The window ends once an iterate is within
-    1e-10 max(1, |theta_inf|) of theta_inf, so that m ulps of rounding in the
-    iterates move a ratio r by at most about 2 m eps (1 + 1/r) / 1e-10
-    relative (1.4e-5 m at r = 0.45); with a fast-contracting run it can come
-    back empty. A start at 0 (kind "zero", or a fixed start of all zeros) is
-    rejected: 0 is a fixed point of the sample EM map, so the run never moves
-    and the window is always empty.
+    Runs EM from the start vector theta0 (the caller's make_init) for
+    burn_in + extra + 50 steps with the relative stop disabled, takes the
+    final iterate as theta_inf, and reports the ratio sequence for t in the
+    ``extra`` window; c_hat is fitted at the norm of ``data.spec``. The window
+    ends once an iterate is within 1e-10 max(1, |theta_inf|) of theta_inf, so
+    that m ulps of rounding in the iterates move a ratio r by at most about
+    2 m eps (1 + 1/r) / 1e-10 relative (1.4e-5 m at r = 0.45); with a
+    fast-contracting run it can come back empty. An all-zero start (the zero
+    kind, a fixed start of zeros, or a spectral start that found no signal)
+    is rejected: 0 is a fixed point of the sample EM map, so the run never
+    moves and the window is always empty.
     """
-    if spec is None:
-        spec = data.spec
+    spec = data.spec
     if burn_in < 1 or extra < 1:
         raise ValueError("burn_in and extra must be >= 1")
-    if init.kind == "zero" or (init.fixed_value is not None and not any(init.fixed_value)):
+    if not np.any(theta0):
         raise ValueError("a zero start is a fixed point of the EM map; "
                          "the contraction probe needs a nonzero start")
     scale = (data.d * math.log(data.n) ** 3 / data.n) ** 0.25
@@ -348,7 +350,7 @@ def mle_contraction_probe(data: Dataset, spec: ModelSpec | None, init: InitSpec,
             "the MLE proxy may not contract", stacklevel=2)
     # run_em's iterates without its log-likelihood pass, which nothing here reads
     iters = np.array([theta for theta, _ in _iterates(
-        data.samples, make_init(init, data), StopRule(max_iters=burn_in + extra + 50, rel_tol=0.0))])
+        data.samples, theta0, StopRule(max_iters=burn_in + extra + 50, rel_tol=0.0))])
     theta_inf = iters[-1]
     dist = np.linalg.norm(iters - theta_inf[None, :], axis=1)
     cutoff = 1e-10 * max(1.0, float(np.linalg.norm(theta_inf)))
@@ -408,20 +410,22 @@ class SublinearProbe:
     thetas: np.ndarray
 
 
-def sublinear_rate_probe(rule: QuadratureRule, T: int = 10_000,
-                         fit_from: int = 100) -> SublinearProbe:
+_FIT_FROM = 100  # first step of the sublinear probe's fit, past the start's transient
+
+
+def sublinear_rate_probe(rule: QuadratureRule, T: int = 10_000) -> SublinearProbe:
     """Slope of log theta_t vs log t for the signal-free population map.
 
     With no signal the map contracts only through its cubic term, so the
     iterates from theta_0 = 1 decay like t^{-1/2}; the fit over t in
-    [fit_from, T] recovers that exponent.
+    [_FIT_FROM, T] (_FIT_FROM = 100) recovers that exponent.
     """
-    if T <= fit_from:
-        raise ValueError("T must exceed fit_from")
+    if T <= _FIT_FROM:
+        raise ValueError(f"T must exceed {_FIT_FROM}, the first step of the fit")
     thetas = np.empty(T + 1)
     thetas[0] = 1.0
     for t in range(T):
         thetas[t + 1] = f_pop(thetas[t], 0.0, rule)
-    ts = np.arange(fit_from, T + 1)
-    slope, _ = fit_loglog_slope(ts, thetas[fit_from:])
+    ts = np.arange(_FIT_FROM, T + 1)
+    slope, _ = fit_loglog_slope(ts, thetas[_FIT_FROM:])
     return SublinearProbe(slope=slope, thetas=thetas)

@@ -4,7 +4,9 @@ Four kinds: the scaled random-sphere start c0 (d log n / n)^{1/4} eta with
 eta uniform on the unit sphere, the spectral estimator built from the top
 eigenpair of the sample second-moment matrix, a user-fixed vector, and the
 zero baseline. The spectral estimator is also an estimator in its own right
-and is compared against EM in the risk experiments.
+and is compared against EM in the risk experiments. An InitSpec names the
+kind and its parameters; the seed of the random kind is an argument of
+make_init, so every caller hands each replicate its own derived stream.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ class InitSpec:
     """Which initializer to use and its parameters.
 
     ``fixed_value`` must be present exactly when kind is "fixed"; ``c0``
-    scales the random-sphere radius; ``seed`` feeds the random kinds unless
-    the caller supplies a replicate-specific override.
+    scales the random-sphere radius.
     """
 
     kind: str
     c0: float = 1.0
     fixed_value: tuple[float, ...] | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -94,14 +94,12 @@ def spectral_init(data: Dataset) -> np.ndarray:
     return math.sqrt(lam - 1.0) * evecs[:, -1]
 
 
-def make_init(init: InitSpec, data: Dataset, seed: int | None = None) -> np.ndarray:
+def make_init(init: InitSpec, data: Dataset, seed: int) -> np.ndarray:
     """Materialize a starting vector for the given dataset.
 
-    ``seed`` overrides init.seed so experiment sweeps can hand every
-    replicate its own derived stream without rebuilding the InitSpec.
+    ``seed`` feeds the random-sphere kind (the others ignore it), so
+    experiment sweeps hand every replicate its own derived stream.
     """
-    if seed is None:
-        seed = init.seed
     if init.kind == "zero":
         return np.zeros(data.d)
     if init.kind == "fixed":

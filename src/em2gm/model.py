@@ -9,7 +9,9 @@ global sign flip, so estimation error is always measured by
 in the Euclidean norm. This module owns the ground truth (ModelSpec), the
 sampler (SampleStream, and Dataset, the samples held), the loss, the average
 log-likelihood and its gradient, and the chi-square divergence to the
-standard normal. The likelihood, its gradient,
+standard normal. A Dataset and a SampleStream each carry the ModelSpec they
+are drawn from, so the probes take the data alone and read the truth from
+it. The likelihood, its gradient,
 the EM map and its batch form share one kernel, _kernel, so em_map = theta +
 grad holds bitwise.
 
@@ -71,13 +73,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class ModelSpec:
     """Ground truth for one experiment: the center ``theta_star`` in R^d.
 
-    ``s`` caches the Euclidean norm of ``theta_star`` and ``direction`` the
-    unit vector along it (None when the center is zero and no direction is
-    defined). Instances are immutable and safe to share across threads.
+    The dimension ``d`` is len(theta_star), ``s`` caches the Euclidean norm
+    of ``theta_star`` and ``direction`` the unit vector along it (None when
+    the center is zero and no direction is defined). Instances are immutable
+    and safe to share across threads.
     """
 
     theta_star: np.ndarray
-    d: int = 0
     s: float = field(init=False)
 
     def __post_init__(self):
@@ -86,11 +88,8 @@ class ModelSpec:
             raise ValueError("theta_star must be a nonempty 1-D vector")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta_star must be finite")
-        if self.d and self.d != theta.size:
-            raise ValueError(f"d={self.d} does not match len(theta_star)={theta.size}")
         theta.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
-        object.__setattr__(self, "d", theta.size)
         object.__setattr__(self, "s", float(np.linalg.norm(theta)))
 
     @classmethod
@@ -105,6 +104,10 @@ class ModelSpec:
         return cls(theta)
 
     @property
+    def d(self) -> int:
+        return self.theta_star.size
+
+    @property
     def direction(self) -> np.ndarray | None:
         """Unit vector theta_star / |theta_star|, or None at the origin."""
         if self.s == 0.0:
@@ -116,7 +119,9 @@ class ModelSpec:
 class Dataset:
     """n samples of Y = X theta_star + Z, X a fair sign, Z standard normal.
 
-    Immutable; regenerating with the same (spec, n, seed) is bit-identical.
+    ``spec`` is the truth the samples were drawn from, which every probe of
+    the dataset reads. Immutable; sample_dataset(spec, n, seed) with the same
+    arguments is bit-identical.
 
     ``samples`` has shape (n, d) but is stored feature-major: it is the
     transpose view of a read-only, C-contiguous (d, n) array, so
@@ -136,7 +141,6 @@ class Dataset:
     """
 
     samples: np.ndarray
-    seed: int
     spec: ModelSpec
     mean_sq_norm: float = field(init=False, repr=False)
 
@@ -190,7 +194,7 @@ def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
     yt = np.empty((spec.d, n))
     _draw_rows(make_generator(seed), spec.theta_star, yt)
     yt.setflags(write=False)
-    return Dataset(samples=yt.T, seed=int(seed), spec=spec)
+    return Dataset(samples=yt.T, spec=spec)
 
 
 @dataclass(frozen=True)

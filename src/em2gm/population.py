@@ -205,14 +205,23 @@ class PopulationState:
             raise ValueError("beta must be nonnegative")
 
 
+def _check_s(s: float) -> None:
+    # the rule of ModelSpec.along_axis; the scalar maps, called per step,
+    # do not check
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"s must be finite and nonnegative, got {s}")
+
+
 def population_trajectory(init: PopulationState, s: float, T: int,
                           rule: QuadratureRule) -> list[PopulationState]:
     """Iterate (alpha, beta) -> (F(alpha, beta), G(alpha, beta)) for T steps.
 
     Returns all T+1 states including the initial one. G is nonnegative in
     exact arithmetic (Stein's identity gives Tz = R E[sech^2] >= 0); the
-    floor below only absorbs quadrature noise at the 1e-17 level.
+    floor below only absorbs quadrature noise at the 1e-17 level. ``s`` must
+    be finite and nonnegative.
     """
+    _check_s(s)
     if T < 1:
         raise ValueError("T must be >= 1")
     states = [init]
@@ -233,8 +242,10 @@ def sandwich_sequences(theta0: float, s: float, w: float, T: int,
     upper_{t+1} = f(upper_t) + w upper_t and lower_{t+1} = f(lower_t) -
     w lower_t, both from theta0, the lower sequence floored at 0. Returns
     (upper, lower), each of length T+1. Their limits are the fixed points
-    invert_q(1 - w) and invert_q(1 + w).
+    invert_q(1 - w) and invert_q(1 + w). ``s`` must be finite and
+    nonnegative.
     """
+    _check_s(s)
     if theta0 <= 0.0:
         raise ValueError("theta0 must be positive")
     if w < 0.0:

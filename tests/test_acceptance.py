@@ -12,6 +12,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from em2gm.deviation import (default_probe_grid, population_map_ddim,
                              relative_lipschitz_probe, tanh_sup_ratio,
@@ -19,12 +20,15 @@ from em2gm.deviation import (default_probe_grid, population_map_ddim,
 from em2gm.experiments import (ExperimentConfig, fit_loglog_slope,
                                figure2_reproduction, mle_contraction_probe,
                                rate_sweep, sublinear_rate_probe)
-from em2gm.initializers import InitSpec, spectral_init
+from em2gm.initializers import InitSpec, make_init, spectral_init
 from em2gm.model import ModelSpec, log_likelihood, loss, sample_dataset
 from em2gm.population import F_pop, G_pop, f_pop, invert_q, q_pop, sandwich_sequences
 from em2gm.rng import derive_seed
 from em2gm.sample_em import StopRule, em_map, em_map_batch, run_em
 from oracles import fg_inequality_violation, tanh_sup_grid_search
+
+# deselect with pytest -m "not acceptance" for a quick run of the rest
+pytestmark = pytest.mark.acceptance
 
 # sweep bytes do not depend on the thread count, so the rate criteria use every core
 _CORES = os.cpu_count() or 1
@@ -246,7 +250,7 @@ def test_criterion_12_relative_deviation_scales_root_n(rule):
             data = sample_dataset(spec, n, derive_seed(777, i, k, 0))
             grid = default_probe_grid(spec, derive_seed(777, i, k, 1),
                                       n_directions=16, n_radii=12)
-            sups.append(relative_lipschitz_probe(data, spec, grid, rule).sup_ratio)
+            sups.append(relative_lipschitz_probe(data, grid, rule).sup_ratio)
         means.append(float(np.mean(sups)))
     slope, _ = fit_loglog_slope(np.array(n_grid, dtype=float), np.array(means))
     elapsed = time.perf_counter() - t0
@@ -261,8 +265,8 @@ def test_criterion_13_mle_window_contracts():
     c_lo, c_hi = math.inf, -math.inf
     for k in range(20):
         data = sample_dataset(spec, 100_000, derive_seed(1313, k))
-        init = InitSpec(kind="random_sphere", seed=derive_seed(1313, k, 1))
-        probe = mle_contraction_probe(data, spec, init, 20, 20)
+        theta0 = make_init(InitSpec(kind="random_sphere"), data, derive_seed(1313, k, 1))
+        probe = mle_contraction_probe(data, theta0, 20, 20)
         assert probe.ratios.size > 0, f"empty contraction window at seed {k}"
         max_ratio = max(max_ratio, probe.max_ratio)
         c_lo, c_hi = min(c_lo, probe.c_hat), max(c_hi, probe.c_hat)

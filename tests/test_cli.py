@@ -144,6 +144,15 @@ def test_threads_is_unknown_outside_the_sweeps(tmp_path, capsys, command):
     assert "unknown config key 'threads'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, csv", [("population", "population.csv"),
+                                          ("sandwich", "sandwich.csv")])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_population_commands_reject_a_bad_s(tmp_path, capsys, command, csv, value):
+    assert main([command, *_TINY[command], "--s", value, "--out", str(tmp_path)]) == 1
+    assert "s must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / csv).exists()
+
+
 def test_bad_init_name_exits_one(tmp_path, capsys):
     assert main(["trajectory", "--init", "warm", "--n", "100",
                  "--out", str(tmp_path)]) == 1
@@ -238,7 +247,7 @@ def test_deviation_writes_the_bytes_of_the_dataset_probe(tmp_path, d, n):
                  "--radii", "13", "--seed", "8", "--out", str(tmp_path)]) == 0
     spec = ModelSpec.along_axis(1.0, d)
     grid = default_probe_grid(spec, derive_seed(8, 1), n_directions=5, n_radii=13)
-    relative_lipschitz_probe(sample_dataset(spec, n, 8), spec, grid,
+    relative_lipschitz_probe(sample_dataset(spec, n, 8), grid,
                              build_rule(80)).to_csv(tmp_path / "want.csv")
     assert (tmp_path / "deviation.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 

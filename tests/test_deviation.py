@@ -60,6 +60,41 @@ def test_probe_grid_rejects_nonpositive_radius():
         ProbeGrid(directions=np.eye(2), radii=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("radii", [[np.nan], [1.0, np.inf]])
+def test_probe_grid_rejects_a_nonfinite_radius(radii):
+    with pytest.raises(ValueError, match="radii must be finite and positive"):
+        ProbeGrid(directions=np.eye(2), radii=np.array(radii))
+
+
+@pytest.mark.parametrize("direction, case", [
+    ([np.inf, 0.0], "infinite"), ([np.nan, 0.0], "nan"), ([0.0, 0.0], "zero"),
+    ([0.6, 0.6], "not unit"), ([1.0 + 1e-11, 0.0], "off unit by 1e-11")])
+def test_probe_grid_rejects_a_direction_that_is_not_a_finite_unit_vector(direction, case):
+    # the probe divides each gap by its radius, which is |theta| only for a unit direction
+    with pytest.raises(ValueError, match="finite unit vectors"):
+        ProbeGrid(directions=np.array([[1.0, 0.0], direction]), radii=np.array([1.0]))
+
+
+def test_probe_grid_accepts_directions_within_1e_12_of_unit_norm():
+    ProbeGrid(directions=np.array([[1.0 + 5e-13, 0.0]]), radii=np.array([1.0]))
+
+
+@pytest.mark.parametrize("directions, radii", [
+    (np.empty((0, 2)), np.array([1.0])), (np.empty((1, 0)), np.array([1.0])),
+    (np.array([1.0, 0.0]), np.array([1.0])), (np.eye(2), np.array([])),
+    (np.eye(2), np.array([[1.0]]))])
+def test_probe_grid_rejects_a_bad_shape(directions, radii):
+    with pytest.raises(ValueError, match=r"grid shapes must be \(k, d\) and \(m,\)"):
+        ProbeGrid(directions=directions, radii=radii)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 64])
+def test_default_probe_grid_directions_pass_the_unit_norm_check(d):
+    for seed in range(50):
+        grid = default_probe_grid(ModelSpec.along_axis(1.0, d), seed, n_directions=8, n_radii=2)
+        assert np.all(np.abs(np.linalg.norm(grid.directions, axis=1) - 1.0) <= 1e-12)
+
+
 def test_default_probe_grid_shape_and_ceiling():
     spec = ModelSpec.along_axis(1.0, 2)
     grid = default_probe_grid(spec, seed=1)
@@ -144,7 +179,7 @@ def test_relative_probe_single_point_grid(rule):
     spec = ModelSpec.along_axis(1.0, 2)
     data = sample_dataset(spec, 5_000, 40)
     grid = ProbeGrid(directions=spec.direction[None, :], radii=np.array([spec.s]))
-    probe = relative_lipschitz_probe(data, spec, grid, rule)
+    probe = relative_lipschitz_probe(data, grid, rule)
     want = float(np.linalg.norm(em_map(data, spec.theta_star) - spec.theta_star)) / spec.s
     assert probe.sup_ratio == pytest.approx(want, abs=1e-8)
     assert probe.ratios.shape == (1,)
@@ -154,7 +189,7 @@ def test_relative_probe_fields_consistent(rule):
     spec = ModelSpec.along_axis(1.0, 2)
     data = sample_dataset(spec, 2_000, 41)
     grid = default_probe_grid(spec, seed=42, n_directions=4, n_radii=5)
-    probe = relative_lipschitz_probe(data, spec, grid, rule)
+    probe = relative_lipschitz_probe(data, grid, rule)
     assert probe.sup_ratio == float(probe.ratios.max())
     assert probe.grid.shape == (20, 2)
     np.testing.assert_array_equal(probe.direction_ids, np.repeat(np.arange(4), 5))
@@ -165,7 +200,7 @@ def test_deviation_probe_csv(tmp_path, rule):
     spec = ModelSpec.along_axis(1.0, 2)
     data = sample_dataset(spec, 500, 43)
     grid = default_probe_grid(spec, seed=44, n_directions=2, n_radii=3)
-    probe = relative_lipschitz_probe(data, spec, grid, rule)
+    probe = relative_lipschitz_probe(data, grid, rule)
     path = tmp_path / "probe.csv"
     probe.to_csv(path)
     lines = path.read_text().splitlines()
@@ -193,7 +228,7 @@ def test_w1_quantile_matched_sample_is_near_optimal():
     levels = (np.arange(n) + 0.5) / n
     t = ndtri((1.0 + levels) / 2.0) ** 2  # population quantiles of Y^2 at s=0
     spec = ModelSpec.along_axis(0.0, 1)
-    data = Dataset(samples=np.sqrt(t)[:, None], seed=0, spec=spec)
+    data = Dataset(samples=np.sqrt(t)[:, None], spec=spec)
     w1 = w1_squared_empirical(data)
     assert w1 == pytest.approx(_w1_grid_oracle(data.samples[:, 0], 0.0), abs=1e-6)
     assert w1 < 5e-3
@@ -221,7 +256,7 @@ def test_grid_sup_never_exceeds_w1_in_one_dimension(rule):
     data = sample_dataset(spec, 2_000, 53)
     w1 = w1_squared_empirical(data)
     grid = default_probe_grid(spec, seed=54, n_directions=2, n_radii=16)
-    probe = relative_lipschitz_probe(data, spec, grid, rule)
+    probe = relative_lipschitz_probe(data, grid, rule)
     assert probe.sup_ratio <= w1 + 1e-10
 
 
@@ -248,10 +283,10 @@ def test_streamed_probe_holds_no_n_by_d_samples(rule):
     grid = default_probe_grid(spec, derive_seed(5, 1), n_directions=16, n_radii=12)
     data = SampleStream(spec, 1_000_000, 5)
     with mock.patch.object(os, "cpu_count", return_value=2):
-        relative_lipschitz_probe(SampleStream(spec, 1000, 5), spec, grid, rule)
+        relative_lipschitz_probe(SampleStream(spec, 1000, 5), grid, rule)
         tracemalloc.start()
         try:
-            probe = relative_lipschitz_probe(data, spec, grid, rule)
+            probe = relative_lipschitz_probe(data, grid, rule)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

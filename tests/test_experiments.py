@@ -22,7 +22,7 @@ from em2gm.experiments import (
     sublinear_rate_probe,
 )
 from em2gm.initializers import InitSpec, make_init
-from em2gm.model import ModelSpec, loss, sample_dataset
+from em2gm.model import Dataset, ModelSpec, loss, sample_dataset
 from em2gm.rng import derive_seed
 from em2gm.sample_em import iterate_em
 
@@ -306,8 +306,8 @@ def test_risk_compare_rejects_unknown_estimator(tmp_path):
 def test_mle_probe_contracts_at_strong_signal():
     spec = ModelSpec.along_axis(1.0, 2)
     data = sample_dataset(spec, 20_000, 61)
-    probe = mle_contraction_probe(data, spec, InitSpec(kind="random_sphere", seed=62),
-                                  burn_in=10, extra=10)
+    theta0 = make_init(InitSpec(kind="random_sphere"), data, 62)
+    probe = mle_contraction_probe(data, theta0, burn_in=10, extra=10)
     assert probe.ratios.size > 0
     assert probe.max_ratio < 1.0
     assert probe.c_hat > 0.0
@@ -320,8 +320,8 @@ def test_mle_probe_truncates_converged_window():
     # window comes back empty rather than reporting 0/0 ratios
     spec = ModelSpec.along_axis(1.0, 2)
     data = sample_dataset(spec, 5_000, 63)
-    probe = mle_contraction_probe(data, spec, InitSpec(kind="random_sphere", seed=64),
-                                  burn_in=400, extra=10)
+    theta0 = make_init(InitSpec(kind="random_sphere"), data, 64)
+    probe = mle_contraction_probe(data, theta0, burn_in=400, extra=10)
     assert probe.ratios.size == 0
     assert probe.max_ratio is None and probe.c_hat is None
 
@@ -340,8 +340,8 @@ def test_mle_probe_ratios_move_little_when_the_iterates_move_by_ulps(monkeypatch
     # 2 m eps (1 + 1/r) / 1e-10 relative, as the window ends 1e-10 from the limit
     spec = ModelSpec.along_axis(1.0, 2)
     data = sample_dataset(spec, 100_000, 66)
-    init = InitSpec(kind="random_sphere", seed=67)
-    want = mle_contraction_probe(data, spec, init, burn_in=20, extra=20).ratios
+    theta0 = make_init(InitSpec(kind="random_sphere"), data, 67)
+    want = mle_contraction_probe(data, theta0, burn_in=20, extra=20).ratios
     iterates, m = experiments._iterates, 6
 
     def moved_iterates(samples, theta0, stop):
@@ -349,7 +349,7 @@ def test_mle_probe_ratios_move_little_when_the_iterates_move_by_ulps(monkeypatch
         return ((theta, None) for theta in _moved_by_ulps(thetas, m))
 
     monkeypatch.setattr(experiments, "_iterates", moved_iterates)
-    got = mle_contraction_probe(data, spec, init, burn_in=20, extra=20).ratios
+    got = mle_contraction_probe(data, theta0, burn_in=20, extra=20).ratios
     assert 0 < want.size == got.size
     bound = 1.01 * 2 * m * np.finfo(float).eps * (1 + 1 / want) / 1e-10
     assert np.all(np.abs(got / want - 1) <= bound)
@@ -359,7 +359,8 @@ def test_mle_probe_warns_below_contraction_scale():
     spec = ModelSpec.along_axis(0.05, 2)
     data = sample_dataset(spec, 1_000, 65)
     with pytest.warns(UserWarning, match="contraction scale"):
-        mle_contraction_probe(data, spec, InitSpec(kind="random_sphere"), burn_in=2, extra=2)
+        mle_contraction_probe(data, make_init(InitSpec(kind="random_sphere"), data, 0),
+                              burn_in=2, extra=2)
 
 
 def test_mle_probe_rejects_a_zero_start():
@@ -368,7 +369,20 @@ def test_mle_probe_rejects_a_zero_start():
     data = sample_dataset(spec, 2_000, 2)
     for init in (InitSpec(kind="zero"), InitSpec(kind="fixed", fixed_value=(0.0,))):
         with pytest.raises(ValueError, match="fixed point"):
-            mle_contraction_probe(data, spec, init, burn_in=60, extra=20)
+            mle_contraction_probe(data, make_init(init, data, 0), burn_in=60, extra=20)
+    with pytest.raises(ValueError, match="fixed point"):
+        mle_contraction_probe(data, np.zeros(1), burn_in=60, extra=20)
+
+
+def test_mle_probe_rejects_a_spectral_start_that_found_no_signal():
+    # with no eigenvalue of the second moments above 1 the spectral start is
+    # 0, which would leave an empty window
+    spec = ModelSpec.along_axis(1.0, 2)
+    data = Dataset(samples=0.5 * sample_dataset(spec, 2_000, 3).samples, spec=spec)
+    theta0 = make_init(InitSpec(kind="spectral"), data, 0)
+    assert not np.any(theta0)
+    with pytest.raises(ValueError, match="fixed point"):
+        mle_contraction_probe(data, theta0, burn_in=5, extra=5)
 
 
 def test_mle_probe_csv(tmp_path):
@@ -396,11 +410,11 @@ def test_figure2_flags(rule):
 
 
 def test_sublinear_probe_short_run(rule):
-    probe = sublinear_rate_probe(rule, T=2_000, fit_from=50)
+    probe = sublinear_rate_probe(rule, T=2_000)
     assert probe.thetas.shape == (2_001,)
     assert probe.slope == pytest.approx(-0.5, abs=0.1)
     with pytest.raises(ValueError):
-        sublinear_rate_probe(rule, T=50, fit_from=100)
+        sublinear_rate_probe(rule, T=100)
 
 
 def test_row_matches_csv_header():

@@ -53,7 +53,7 @@ def test_random_sphere_rejects_tiny_n():
 
 def test_spectral_zero_data_returns_zero():
     spec = ModelSpec.along_axis(1.0, 3)
-    data = Dataset(samples=np.zeros((10, 3)), seed=0, spec=spec)
+    data = Dataset(samples=np.zeros((10, 3)), spec=spec)
     np.testing.assert_array_equal(spectral_init(data), np.zeros(3))
 
 
@@ -61,7 +61,7 @@ def test_spectral_planted_rank_one():
     v = np.array([1.2, -1.6])  # norm 2, so the top eigenvalue is 4
     rows = np.array([v, -v, v, -v, v, -v])
     spec = ModelSpec(v)
-    data = Dataset(samples=rows, seed=3, spec=spec)
+    data = Dataset(samples=rows, spec=spec)
     got = spectral_init(data)
     want = (math.sqrt(3.0) / 2.0) * v
     assert loss(got, want) < 1e-8
@@ -115,25 +115,17 @@ def test_spectral_is_the_exact_top_eigenpair():
 def test_make_init_dispatch():
     spec = ModelSpec.along_axis(1.0, 2)
     data = sample_dataset(spec, 1000, 6)
-    np.testing.assert_array_equal(make_init(InitSpec(kind="zero"), data), np.zeros(2))
-    fixed = make_init(InitSpec(kind="fixed", fixed_value=(0.3, -0.4)), data)
+    np.testing.assert_array_equal(make_init(InitSpec(kind="zero"), data, 5), np.zeros(2))
+    fixed = make_init(InitSpec(kind="fixed", fixed_value=(0.3, -0.4)), data, 5)
     np.testing.assert_array_equal(fixed, [0.3, -0.4])
-    sphere = make_init(InitSpec(kind="random_sphere", seed=5), data)
+    sphere = make_init(InitSpec(kind="random_sphere"), data, 5)
     np.testing.assert_array_equal(sphere, random_sphere_init(2, 1000, 1.0, 5))
-    np.testing.assert_array_equal(make_init(InitSpec(kind="spectral"), data),
+    np.testing.assert_array_equal(make_init(InitSpec(kind="spectral"), data, 5),
                                   spectral_init(data))
-
-
-def test_make_init_seed_override():
-    spec = ModelSpec.along_axis(1.0, 2)
-    data = sample_dataset(spec, 1000, 6)
-    init = InitSpec(kind="random_sphere", seed=5)
-    np.testing.assert_array_equal(make_init(init, data, seed=9),
-                                  random_sphere_init(2, 1000, 1.0, 9))
 
 
 def test_make_init_fixed_dimension_mismatch():
     spec = ModelSpec.along_axis(1.0, 3)
     data = sample_dataset(spec, 100, 0)
     with pytest.raises(ValueError):
-        make_init(InitSpec(kind="fixed", fixed_value=(1.0,)), data)
+        make_init(InitSpec(kind="fixed", fixed_value=(1.0,)), data, 0)

@@ -47,8 +47,6 @@ def test_spec_rejects_bad_input():
     with pytest.raises(ValueError):
         ModelSpec(np.array([np.inf, 0.0]))
     with pytest.raises(ValueError):
-        ModelSpec(np.array([1.0, 2.0]), d=3)
-    with pytest.raises(ValueError):
         ModelSpec.along_axis(-0.1, 2)
     with pytest.raises(ValueError):
         ModelSpec.along_axis(1.0, 0)
@@ -175,13 +173,13 @@ def test_sample_dataset_golden_bytes(theta_star, n, seed, digest):
 def test_dataset_normalizes_other_layouts_once():
     spec = ModelSpec.along_axis(1.0, 3)
     rows = np.arange(12.0).reshape(4, 3)  # C-ordered and writable
-    data = Dataset(samples=rows, seed=0, spec=spec)
+    data = Dataset(samples=rows, spec=spec)
     assert data.samples.T.flags.c_contiguous and not data.samples.T.flags.writeable
     np.testing.assert_array_equal(data.samples, rows)
     rows[0, 0] = 99.0  # the dataset holds its own copy
     assert data.samples[0, 0] == 0.0
     # an already normalized block is taken as it is
-    assert Dataset(samples=data.samples, seed=0, spec=spec).samples is data.samples
+    assert Dataset(samples=data.samples, spec=spec).samples is data.samples
 
 
 @pytest.mark.parametrize("d", [1, 3, 10])
@@ -232,7 +230,7 @@ def test_mean_sq_norm_is_the_one_shot_expression_bitwise(layout):
     samples, nbytes = layout
     spec = ModelSpec.along_axis(1.0, samples.shape[1])
     with mock.patch.object(model, "_DRAW_BYTES", nbytes):
-        data = Dataset(samples=samples, seed=0, spec=spec)
+        data = Dataset(samples=samples, spec=spec)
     rows = data.samples
     assert rows.tobytes() == np.ascontiguousarray(samples).tobytes()
     want = float(np.mean(np.einsum("ij,ij->i", rows, rows)))
@@ -248,7 +246,7 @@ def test_dataset_finds_nonfinite_samples_in_every_leaf(copied):
     spec = ModelSpec.along_axis(1.0, d)
     rows = sample_dataset(spec, n, 4).samples
     with mock.patch.object(model, "_DRAW_BYTES", 128 * d * 8):
-        assert Dataset(samples=rows, seed=4, spec=spec).samples is rows
+        assert Dataset(samples=rows, spec=spec).samples is rows
         for i in range(n):
             for bad in (math.nan, math.inf, -math.inf):
                 yt = rows.T.copy()
@@ -259,13 +257,13 @@ def test_dataset_finds_nonfinite_samples_in_every_leaf(copied):
                     yt.setflags(write=False)
                     samples = yt.T
                 with pytest.raises(ValueError, match="finite"):
-                    Dataset(samples=samples, seed=4, spec=spec)
+                    Dataset(samples=samples, spec=spec)
 
 
 def test_dataset_validates_dimension():
     spec = ModelSpec.along_axis(1.0, 2)
     with pytest.raises(ValueError):
-        Dataset(samples=np.zeros((5, 3)), seed=0, spec=spec)
+        Dataset(samples=np.zeros((5, 3)), spec=spec)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -274,7 +272,7 @@ def test_dataset_rejects_nonfinite_samples(bad):
     rows = np.ones((5, 2))
     rows[3, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        Dataset(samples=rows, seed=0, spec=spec)
+        Dataset(samples=rows, spec=spec)
 
 
 class _TopUniformGenerator:

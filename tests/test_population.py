@@ -235,6 +235,15 @@ def test_sandwich_validates_inputs(rule):
         sandwich_sequences(0.5, 1.0, -0.1, 10, rule)
 
 
+@pytest.mark.parametrize("s", [-1.0, -1e-300, math.nan, math.inf])
+def test_population_runs_reject_a_negative_or_nonfinite_s(rule, s):
+    # the rule of ModelSpec.along_axis
+    with pytest.raises(ValueError, match="s must be finite and nonnegative"):
+        population_trajectory(PopulationState(0.1, 0.7), s, 5, rule)
+    with pytest.raises(ValueError, match="s must be finite and nonnegative"):
+        sandwich_sequences(0.5, s, 0.05, 5, rule)
+
+
 def test_build_rule_orders_differ():
     assert build_rule(40).order == 40
     assert build_rule(40)._z.shape == (40,)

@@ -43,7 +43,7 @@ def test_em_map_antisymmetric():
 
 def test_em_map_saturated_single_sample():
     spec = ModelSpec.along_axis(1.0, 1)
-    data = Dataset(samples=np.array([[2.0]]), seed=0, spec=spec)
+    data = Dataset(samples=np.array([[2.0]]), spec=spec)
     out = em_map(data, np.array([10.0]))
     assert out[0] == pytest.approx(2.0 * math.tanh(20.0), abs=1e-12)
     assert out[0] == pytest.approx(2.0, abs=1e-8)
@@ -912,5 +912,5 @@ def test_iterate_em_names_the_first_nonfinite_step():
         iterate_em(samples[:2], np.array([np.nan]), StopRule(max_iters=10, rel_tol=0.0))
     # run_em too, on finite samples whose EM sum overflows: 1e308 + 1e308
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="step 1"):
-        data = Dataset(samples=np.full((2, 1), 1e308), seed=0, spec=ModelSpec.along_axis(1.0, 1))
+        data = Dataset(samples=np.full((2, 1), 1e308), spec=ModelSpec.along_axis(1.0, 1))
         run_em(data, np.array([1.0]), StopRule(max_iters=10, rel_tol=0.0))
