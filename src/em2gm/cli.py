@@ -3,13 +3,14 @@
 One subcommand per experiment. Options resolve in three layers: built-in
 defaults, then a flat JSON config file given with --config, then explicit
 flags, which always win. Every command honors --seed and is run-to-run
-deterministic. --dry-run prints the resolved plan without computing
-anything; it checks only the flags and their types, the config file and its
-keys, and the ranges of --threads, --max-iters, --directions and --radii.
-What the run checks as it builds its objects (the initializer name, the
---theta0 length, the dtype with its rel_tol, d, s, w) a dry run does not, so
-it can exit 0 where the run exits 1. All floating-point output is printed
-with 17 significant digits so values round-trip exactly.
+deterministic. Each command is a build step and a run: the build step makes
+every object the command needs (model spec, initializer, stop rule, sweep
+config, quadrature rule, probe grid) and runs every check that needs no
+data; the run computes and writes the files. --dry-run runs the build step
+and prints the resolved plan, so it exits 1 exactly where the run would
+before computing, with the same message, and creates nothing. Only this
+module writes files. All floating-point output is printed with 17
+significant digits so values round-trip exactly.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -23,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +32,8 @@ from . import deviation as dev
 from . import experiments as exp
 from .initializers import InitSpec, make_init
 from .model import ModelSpec, SampleStream, sample_dataset
-from .population import PopulationState, build_rule, invert_q, population_trajectory, sandwich_sequences
+from .population import (PopulationState, _check_sandwich, _check_trajectory, build_rule,
+                         invert_q, population_trajectory, sandwich_sequences)
 from .rng import derive_seed
 from .sample_em import StopRule, run_em
 from .svg import write_json, write_line_chart, write_table
@@ -89,9 +92,11 @@ _COMMON = {
     "out": _Opt("str", "out", "output directory, created if missing"),
 }
 
-# Initializer names; "fixed" is accepted only by commands that take --theta0.
+# Initializer names; "fixed" is accepted only by commands that take --theta0,
+# and the MLE probe takes no zero start, which is a fixed point of the EM map.
 _INITS = ("random", "spectral", "fixed", "zero")
 _INITS_NO_FIXED = ("random", "spectral", "zero")
+_INITS_MLE = ("random", "spectral")
 _INIT_KINDS = {"random": "random_sphere", "random_sphere": "random_sphere",
                "spectral": "spectral", "fixed": "fixed", "zero": "zero"}
 
@@ -103,7 +108,6 @@ _SHARED = {
     "order": ("int", "quadrature order"),
     "replicates": ("int", "Monte Carlo replicates per grid point"),
     "dtype": ("str", "EM inner-loop dtype: float64|float32"),
-    "init": ("str", "initializer: " + "|".join(_INITS)),
     "c0": ("float", "scale constant of the random-sphere initializer"),
     # only the sweeps take it; the other commands reject --threads
     "threads": ("int", "sweep worker threads, each running BLAS on one thread; "
@@ -115,12 +119,13 @@ def _opts(**defaults) -> dict[str, _Opt]:
     return {name: _Opt(_SHARED[name][0], v, _SHARED[name][1]) for name, v in defaults.items()}
 
 
-# without --theta0 a fixed start cannot be expressed; default to the
-# random-sphere initializer instead
-_INIT_NO_FIXED = _Opt("str", "random", "initializer: " + "|".join(_INITS_NO_FIXED))
+def _init_opt(default: str, names: tuple[str, ...]) -> _Opt:
+    return _Opt("str", default, "initializer: " + "|".join(names))
+
 
 _EM_OPTS = {
-    **_opts(init="fixed", c0=1.0),
+    "init": _init_opt("fixed", _INITS),
+    **_opts(c0=1.0),
     "theta0": _Opt("vec", (1.0,), "comma-separated start vector for --init fixed"),
     "max_iters": _Opt("int", 0, "iteration cap; 0 = ceil(c_iter * sqrt(n))"),
     "c_iter": _Opt("float", 10.0, "budget constant in ceil(c_iter * sqrt(n))"),
@@ -143,7 +148,8 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         "estimators": _Opt("str", "em,spectral,zero", "estimators to score"),
         **_opts(dtype="float64", threads=0),
         **{k: v for k, v in _EM_OPTS.items() if k != "theta0"},
-        "init": _INIT_NO_FIXED,
+        # without --theta0 a fixed start cannot be expressed
+        "init": _init_opt("random", _INITS_NO_FIXED),
         **_COMMON,
     },
     "population": {
@@ -173,7 +179,7 @@ _SPECS: dict[str, dict[str, _Opt]] = {
         **_opts(d=2, s=1.0, n=100_000),
         "burn_in": _Opt("int", 200, "steps before the observation window"),
         "extra": _Opt("int", 20, "length of the observation window"),
-        "init": _INIT_NO_FIXED,
+        "init": _init_opt("random", _INITS_MLE),
         **_opts(c0=1.0),
         **_COMMON,
     },
@@ -222,30 +228,34 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
         if value is not _UNSET:
             resolved[name] = _coerce(name, opt.typ, value)
     # 0 threads or max_iters picks the default; a deviation grid needs a
-    # direction and a radius; anything less is a typo
-    for name, least in (("threads", 0), ("max_iters", 0), ("directions", 1), ("radii", 1)):
+    # direction and a radius, a sample two rows (as every sweep cell does, and
+    # the random start's radius needs log n > 0); anything less is a typo
+    for name, least in (("threads", 0), ("max_iters", 0), ("directions", 1), ("radii", 1),
+                        ("n", 2)):
         if resolved.get(name, least) < least:
             raise CliError(f"--{name.replace('_', '-')} must be >= {least}, got {resolved[name]}")
+    # the seed keys a Philox stream directly
+    if not 0 <= resolved["seed"] < 2**64:
+        raise CliError(f"--seed must be in [0, 2**64), got {resolved['seed']}")
     return resolved
 
 
-def _init_spec(cfg: dict, d: int) -> InitSpec:
-    names = _INITS if "theta0" in cfg else _INITS_NO_FIXED
+def _init_spec(cfg: dict, names: tuple[str, ...]) -> InitSpec:
     kind = _INIT_KINDS.get(cfg["init"])
     if kind not in {_INIT_KINDS[name] for name in names}:
         raise CliError(f"unknown init '{cfg['init']}'; expected one of {', '.join(names)}")
     if kind != "fixed":
         return InitSpec(kind=kind, c0=cfg["c0"])
-    if len(cfg["theta0"]) != d:
-        raise CliError(f"--theta0 has length {len(cfg['theta0'])}, expected d={d}")
+    if len(cfg["theta0"]) != cfg["d"]:
+        raise CliError(f"--theta0 has length {len(cfg['theta0'])}, expected d={cfg['d']}")
     return InitSpec(kind="fixed", fixed_value=cfg["theta0"], c0=cfg["c0"])
 
 
-def _sweep_config(cfg: dict, n_grid, s_grid, path: Path) -> exp.ExperimentConfig:
+def _sweep_config(cfg: dict, n_grid, s_grid, inits) -> exp.ExperimentConfig:
     return exp.ExperimentConfig.from_product(
         n_grid, [cfg["d"]], s_grid,
-        replicates=cfg["replicates"], init=_init_spec(cfg, cfg["d"]),
-        master_seed=cfg["seed"], output_path=path, rel_tol=cfg["rel_tol"],
+        replicates=cfg["replicates"], init=_init_spec(cfg, inits),
+        master_seed=cfg["seed"], rel_tol=cfg["rel_tol"],
         c_iter=cfg["c_iter"], max_iters=cfg["max_iters"], dtype=cfg["dtype"],
         threads=cfg["threads"] or os.cpu_count() or 1)  # 0 means one per core
 
@@ -255,125 +265,183 @@ def _write_states(path: Path, states) -> None:
                 [st.alpha for st in states], [st.beta for st in states])
 
 
-def _cmd_trajectory(cfg: dict, out: Path) -> str:
+# Each _cmd_* is a command's build step: it makes the command's objects,
+# runs its data-free checks and returns the run, which computes, writes its
+# files into the output directory and returns the line to print.
+_Run = Callable[[Path], str]
+
+
+def _cmd_trajectory(cfg: dict) -> _Run:
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
-    data = sample_dataset(spec, cfg["n"], cfg["seed"])
-    theta0 = make_init(_init_spec(cfg, cfg["d"]), data, seed=derive_seed(cfg["seed"], 1))
+    init = _init_spec(cfg, _INITS)
     stop = StopRule.for_n(cfg["n"], cfg["c_iter"], cfg["rel_tol"], cfg["max_iters"])
-    traj = run_em(data, theta0, stop, keep_iterates=True)
-    path = out / "trajectory.csv"
-    traj.to_csv(path)
-    t = np.arange(len(traj))
-    write_line_chart(out / "trajectory.svg", t,
-                     {"loss": traj.loss, "alpha": traj.alpha, "beta": traj.beta},
-                     title="EM trajectory", xlabel="t", ylabel="value")
-    return f"final_loss={_fmt(traj.loss[-1])} stop={traj.stop_reason.value} -> {path}"
+
+    def run(out: Path) -> str:
+        data = sample_dataset(spec, cfg["n"], cfg["seed"])
+        theta0 = make_init(init, data, seed=derive_seed(cfg["seed"], 1))
+        traj = run_em(data, theta0, stop, keep_iterates=True)
+        path = out / "trajectory.csv"
+        traj.to_csv(path)
+        t = np.arange(len(traj))
+        write_line_chart(out / "trajectory.svg", t,
+                         {"loss": traj.loss, "alpha": traj.alpha, "beta": traj.beta},
+                         title="EM trajectory", xlabel="t", ylabel="value")
+        return f"final_loss={_fmt(traj.loss[-1])} stop={traj.stop_reason.value} -> {path}"
+
+    return run
 
 
-def _cmd_rate_sweep(cfg: dict, out: Path) -> str:
-    path = out / "rate_sweep.csv"
-    result = exp.rate_sweep(_sweep_config(cfg, cfg["n_grid"], [cfg["s"]], path))
-    summary = result.summaries[0]
-    write_line_chart(out / "rate_sweep.svg", summary.n_values,
-                     {"mean loss": summary.mean_loss},
-                     title="mean final loss vs n", xlabel="n", ylabel="loss",
-                     logx=True, logy=True)
-    slope = "nan" if summary.slope is None else _fmt(summary.slope)
-    return f"slope={slope} -> {path}"
+def _cmd_rate_sweep(cfg: dict) -> _Run:
+    config = _sweep_config(cfg, cfg["n_grid"], [cfg["s"]], _INITS)
+
+    def run(out: Path) -> str:
+        result = exp.rate_sweep(config)
+        path = out / "rate_sweep.csv"
+        result.to_csv(path)
+        result.summary_to_json(out / "rate_sweep.summary.json")
+        summary = result.summaries[0]
+        write_line_chart(out / "rate_sweep.svg", summary.n_values,
+                         {"mean loss": summary.mean_loss},
+                         title="mean final loss vs n", xlabel="n", ylabel="loss",
+                         logx=True, logy=True)
+        slope = "nan" if summary.slope is None else _fmt(summary.slope)
+        return f"slope={slope} -> {path}"
+
+    return run
 
 
-def _cmd_risk_compare(cfg: dict, out: Path) -> str:
+def _cmd_risk_compare(cfg: dict) -> _Run:
     estimators = tuple(e.strip() for e in cfg["estimators"].split(",") if e.strip())
-    path = out / "risk.csv"
-    comparison = exp.risk_compare(_sweep_config(cfg, [cfg["n"]], cfg["s_grid"], path),
-                                  estimators)
-    losses = {name: [comparison.mean_loss(name, cfg["n"], cfg["d"], s) for s in cfg["s_grid"]]
-              for name in estimators}
-    write_line_chart(out / "risk.svg", cfg["s_grid"], losses,
-                     title="mean loss vs s", xlabel="s", ylabel="loss")
-    lead = estimators[0]
-    stats = " ".join(f"{name}={_fmt(np.mean(losses[name]))}" for name in estimators)
-    return f"mean_loss[{lead} first] {stats} -> {path}"
+    config = _sweep_config(cfg, [cfg["n"]], cfg["s_grid"], _INITS_NO_FIXED)
+    exp._check_estimators(estimators)
+
+    def run(out: Path) -> str:
+        comparison = exp.risk_compare(config, estimators)
+        results = comparison.results
+        for name, result in results.items():
+            result.to_csv(out / f"risk_{name}.csv")
+        write_json(out / "risk.summary.json",
+                   {name: [s.to_dict() for s in result.summaries]
+                    for name, result in results.items()})
+        losses = {name: [comparison.mean_loss(name, cfg["n"], cfg["d"], s) for s in cfg["s_grid"]]
+                  for name in estimators}
+        write_line_chart(out / "risk.svg", cfg["s_grid"], losses,
+                         title="mean loss vs s", xlabel="s", ylabel="loss")
+        stats = " ".join(f"{name}={_fmt(np.mean(losses[name]))}" for name in estimators)
+        return f"mean_loss[{estimators[0]} first] {stats} -> {out / 'risk.csv'}"
+
+    return run
 
 
-def _cmd_population(cfg: dict, out: Path) -> str:
+def _cmd_population(cfg: dict) -> _Run:
     rule = build_rule(cfg["order"])
-    states = population_trajectory(PopulationState(cfg["alpha0"], cfg["beta0"]),
-                                   cfg["s"], cfg["iters"], rule)
-    path = out / "population.csv"
-    _write_states(path, states)
-    write_line_chart(out / "population.svg", np.arange(len(states)),
-                     {"alpha": [st.alpha for st in states],
-                      "beta": [st.beta for st in states]},
-                     title="population EM", xlabel="t", ylabel="coordinate")
-    return f"final_alpha={_fmt(states[-1].alpha)} final_beta={_fmt(states[-1].beta)} -> {path}"
+    init = PopulationState(cfg["alpha0"], cfg["beta0"])
+    _check_trajectory(cfg["s"], cfg["iters"])
+
+    def run(out: Path) -> str:
+        states = population_trajectory(init, cfg["s"], cfg["iters"], rule)
+        path = out / "population.csv"
+        _write_states(path, states)
+        write_line_chart(out / "population.svg", np.arange(len(states)),
+                         {"alpha": [st.alpha for st in states],
+                          "beta": [st.beta for st in states]},
+                         title="population EM", xlabel="t", ylabel="coordinate")
+        return (f"final_alpha={_fmt(states[-1].alpha)} "
+                f"final_beta={_fmt(states[-1].beta)} -> {path}")
+
+    return run
 
 
-def _cmd_sandwich(cfg: dict, out: Path) -> str:
+def _cmd_sandwich(cfg: dict) -> _Run:
     rule = build_rule(cfg["order"])
-    upper, lower = sandwich_sequences(cfg["theta0"], cfg["s"], cfg["w"], cfg["iters"], rule)
-    path = out / "sandwich.csv"
-    write_table(path, ("t", "lower", "upper"), range(len(upper)), lower, upper)
-    write_line_chart(out / "sandwich.svg", np.arange(len(upper)),
-                     {"upper": upper, "lower": lower},
-                     title="sandwich envelopes", xlabel="t", ylabel="theta")
-    lim_hi = invert_q(1.0 - cfg["w"], cfg["s"], rule) if cfg["w"] < 1.0 else math.nan
-    return (f"final_lower={_fmt(lower[-1])} final_upper={_fmt(upper[-1])} "
-            f"upper_limit={_fmt(lim_hi)} -> {path}")
+    theta0, s, w = cfg["theta0"], cfg["s"], cfg["w"]
+    _check_sandwich(theta0, s, w, cfg["iters"])
+
+    def run(out: Path) -> str:
+        upper, lower = sandwich_sequences(theta0, s, w, cfg["iters"], rule)
+        path = out / "sandwich.csv"
+        write_table(path, ("t", "lower", "upper"), range(len(upper)), lower, upper)
+        write_line_chart(out / "sandwich.svg", np.arange(len(upper)),
+                         {"upper": upper, "lower": lower},
+                         title="sandwich envelopes", xlabel="t", ylabel="theta")
+        lim_hi = invert_q(1.0 - w, s, rule) if w < 1.0 else math.nan
+        return (f"final_lower={_fmt(lower[-1])} final_upper={_fmt(upper[-1])} "
+                f"upper_limit={_fmt(lim_hi)} -> {path}")
+
+    return run
 
 
-def _cmd_deviation(cfg: dict, out: Path) -> str:
+def _cmd_deviation(cfg: dict) -> _Run:
     rule = build_rule(cfg["order"])
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
     data = SampleStream(spec, cfg["n"], cfg["seed"])
     grid = dev.default_probe_grid(spec, derive_seed(cfg["seed"], 1),
                                   n_directions=cfg["directions"], n_radii=cfg["radii"])
-    probe = dev.relative_lipschitz_probe(data, grid, rule)
-    path = out / "deviation.csv"
-    probe.to_csv(path)
-    return f"sup_ratio={_fmt(probe.sup_ratio)} -> {path}"
+
+    def run(out: Path) -> str:
+        probe = dev.relative_lipschitz_probe(data, grid, rule)
+        path = out / "deviation.csv"
+        probe.to_csv(path)
+        return f"sup_ratio={_fmt(probe.sup_ratio)} -> {path}"
+
+    return run
 
 
-def _cmd_mle_probe(cfg: dict, out: Path) -> str:
+def _cmd_mle_probe(cfg: dict) -> _Run:
     spec = ModelSpec.along_axis(cfg["s"], cfg["d"])
-    data = sample_dataset(spec, cfg["n"], cfg["seed"])
-    theta0 = make_init(_init_spec(cfg, cfg["d"]), data, seed=derive_seed(cfg["seed"], 1))
-    probe = exp.mle_contraction_probe(data, theta0, cfg["burn_in"], cfg["extra"])
-    path = out / "mle_probe.csv"
-    probe.to_csv(path)
-    max_r = "none" if probe.max_ratio is None else _fmt(probe.max_ratio)
-    return f"max_ratio={max_r} window={probe.ratios.size} -> {path}"
+    init = _init_spec(cfg, _INITS_MLE)
+    exp._check_window(cfg["burn_in"], cfg["extra"])
+
+    def run(out: Path) -> str:
+        data = sample_dataset(spec, cfg["n"], cfg["seed"])
+        theta0 = make_init(init, data, seed=derive_seed(cfg["seed"], 1))
+        probe = exp.mle_contraction_probe(data, theta0, cfg["burn_in"], cfg["extra"])
+        path = out / "mle_probe.csv"
+        probe.to_csv(path)
+        max_r = "none" if probe.max_ratio is None else _fmt(probe.max_ratio)
+        return f"max_ratio={max_r} window={probe.ratios.size} -> {path}"
+
+    return run
 
 
-def _cmd_figure2(cfg: dict, out: Path) -> str:
+def _cmd_figure2(cfg: dict) -> _Run:
     rule = build_rule(cfg["order"])
-    result = exp.figure2_reproduction(rule)
-    _write_states(out / "figure2_nonmonotone.csv", result.non_monotone_run)
-    _write_states(out / "figure2_monotone.csv", result.monotone_run)
-    path = out / "figure2_flags.json"
-    write_json(path, {"non_monotone_pass": result.non_monotone_pass,
-                      "monotone_pass": result.monotone_pass,
-                      "beta_decreasing_after_first": result.beta_decreasing_after_first})
-    write_line_chart(out / "figure2.svg",
-                     np.arange(len(result.non_monotone_run)),
-                     {"alpha (0.1,0.7)": [st.alpha for st in result.non_monotone_run],
-                      "alpha (0.1,0.1)": [st.alpha for st in result.monotone_run]},
-                     title="population signal coordinate, s=0.35",
-                     xlabel="t", ylabel="alpha")
-    return (f"non_monotone_pass={result.non_monotone_pass} "
-            f"monotone_pass={result.monotone_pass} -> {path}")
+
+    def run(out: Path) -> str:
+        result = exp.figure2_reproduction(rule)
+        _write_states(out / "figure2_nonmonotone.csv", result.non_monotone_run)
+        _write_states(out / "figure2_monotone.csv", result.monotone_run)
+        path = out / "figure2_flags.json"
+        write_json(path, {"non_monotone_pass": result.non_monotone_pass,
+                          "monotone_pass": result.monotone_pass,
+                          "beta_decreasing_after_first": result.beta_decreasing_after_first})
+        write_line_chart(out / "figure2.svg",
+                         np.arange(len(result.non_monotone_run)),
+                         {"alpha (0.1,0.7)": [st.alpha for st in result.non_monotone_run],
+                          "alpha (0.1,0.1)": [st.alpha for st in result.monotone_run]},
+                         title="population signal coordinate, s=0.35",
+                         xlabel="t", ylabel="alpha")
+        return (f"non_monotone_pass={result.non_monotone_pass} "
+                f"monotone_pass={result.monotone_pass} -> {path}")
+
+    return run
 
 
-def _cmd_sublinear(cfg: dict, out: Path) -> str:
+def _cmd_sublinear(cfg: dict) -> _Run:
     rule = build_rule(cfg["order"])
-    probe = exp.sublinear_rate_probe(rule, T=cfg["iters"])
-    path = out / "sublinear.csv"
-    write_table(path, ("t", "theta"), range(len(probe.thetas)), probe.thetas)
-    t = np.arange(1, len(probe.thetas))
-    write_line_chart(out / "sublinear.svg", t, {"theta_t": probe.thetas[1:]},
-                     title="signal-free population decay", xlabel="t",
-                     ylabel="theta", logx=True, logy=True)
-    return f"slope={_fmt(probe.slope)} -> {path}"
+    exp._check_sublinear(cfg["iters"])
+
+    def run(out: Path) -> str:
+        probe = exp.sublinear_rate_probe(rule, T=cfg["iters"])
+        path = out / "sublinear.csv"
+        write_table(path, ("t", "theta"), range(len(probe.thetas)), probe.thetas)
+        t = np.arange(1, len(probe.thetas))
+        write_line_chart(out / "sublinear.svg", t, {"theta_t": probe.thetas[1:]},
+                         title="signal-free population decay", xlabel="t",
+                         ylabel="theta", logx=True, logy=True)
+        return f"slope={_fmt(probe.slope)} -> {path}"
+
+    return run
 
 
 _HANDLERS = {
@@ -396,13 +464,14 @@ def main(argv=None) -> int:
         if args.command is None:
             raise CliError(parser.format_usage())
         cfg = _resolve(args.command, args)
+        command = _HANDLERS[args.command](cfg)
         if args.dry_run:
             plan = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
             print(f"dry-run {args.command}: {plan}")
             return 0
         out = Path(cfg["out"])
         os.makedirs(out, exist_ok=True)
-        print(_HANDLERS[args.command](cfg, out))
+        print(command(out))
         return 0
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

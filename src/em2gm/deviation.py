@@ -53,13 +53,18 @@ class ProbeGrid:
 
     The probe divides each gap by its radius, which is |theta| only for a
     unit direction, so the directions must be finite with norms within 1e-12
-    of 1 and the radii finite and positive, with k, m >= 1.
+    of 1 and the radii finite and positive, with k, m >= 1. The grid keeps
+    read-only copies, so the caller's arrays stay as they were.
     """
 
     directions: np.ndarray  # (k, d) unit vectors
     radii: np.ndarray       # (m,) positive radii
 
     def __post_init__(self):
+        for name in ("directions", "radii"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         shapes = self.directions.shape, self.radii.shape
         if len(shapes[0]) != 2 or len(shapes[1]) != 1 or 0 in shapes[0] + shapes[1]:
             raise ValueError(f"grid shapes must be (k, d) and (m,) with k, d, m >= 1, got {shapes}")
@@ -67,8 +72,6 @@ class ProbeGrid:
             raise ValueError("all radii must be finite and positive")
         if not np.all(np.abs(np.linalg.norm(self.directions, axis=1) - 1.0) <= 1e-12):
             raise ValueError("directions must be finite unit vectors (norms within 1e-12 of 1)")
-        self.directions.setflags(write=False)
-        self.radii.setflags(write=False)
 
     def thetas(self) -> np.ndarray:
         """All probe vectors, direction-major: row i*m + j is dir i, radius j."""

@@ -15,7 +15,10 @@ tanh and the direct BLAS reduction of the f_n kernel run without the GIL, as
 does its projection at d = 1, but at d >= 2 the projection of one theta is a
 matrix-vector np.matmul, which holds the GIL, so the workers take turns on it.
 The MLE contraction probe takes a dataset and the start vector its caller
-made with make_init, and reads the truth from the dataset's spec.
+made with make_init, and reads the truth from the dataset's spec. Nothing
+here writes a file: the results carry their CSV and JSON writers, which the
+CLI calls. The _check_* validators hold the checks that need no data, so
+the CLI runs them before it computes anything.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +56,6 @@ __all__ = [
 
 _STREAM_DATA = 0
 _STREAM_INIT = 1
-
-_ESTIMATORS = ("em", "spectral", "zero")
 
 
 class Row(NamedTuple):
@@ -109,7 +109,6 @@ class ExperimentConfig:
     replicates: int
     init: InitSpec
     master_seed: int
-    output_path: str | Path | None = None
     rel_tol: float = 1e-8
     c_iter: float = 10.0
     max_iters: int = 0
@@ -125,8 +124,8 @@ class ExperimentConfig:
                 raise ValueError("all n must be >= 2")
             if d < 1:
                 raise ValueError("all d must be >= 1")
-            if not (s >= 0.0):
-                raise ValueError("all s must be nonnegative")
+            if not (math.isfinite(s) and s >= 0.0):
+                raise ValueError("all s must be finite and nonnegative")
         object.__setattr__(self, "grid", grid)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
@@ -139,6 +138,8 @@ class ExperimentConfig:
             raise ValueError("max_iters must be >= 0 (0 = ceil(c_iter sqrt(n)))")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        for n, _, _ in grid:
+            self.stop_for(n)  # StopRule's checks, before any cell runs
 
     @classmethod
     def from_product(cls, n_grid, d_grid, s_grid, **kwargs) -> "ExperimentConfig":
@@ -209,56 +210,64 @@ def _summarize(rows: list[Row]) -> tuple[SlopeSummary, ...]:
     return tuple(out)
 
 
-def _em_cell(config: ExperimentConfig, gi: int, k: int, estimators) -> tuple[Row, ...]:
-    """One replicate of one grid cell: a Row per estimator, all on one dataset.
+def _em(data: Dataset, config: ExperimentConfig, gi: int, k: int) -> tuple[np.ndarray, int]:
+    theta0 = make_init(config.init, data,
+                       seed=derive_seed(config.master_seed, gi, k, _STREAM_INIT))
+    return iterate_em(data.samples, theta0, config.stop_for(data.n), dtype=config.np_dtype)
 
-    "em" runs the full iteration from config.init and reports the stopped
-    iterate; "spectral" scores the spectral estimator itself; "zero" is the
-    trivial baseline whose loss is exactly s.
-    """
+
+# Estimator name -> (data, config, grid index, replicate) -> (theta, iters).
+# "em" runs the full iteration from config.init and reports the stopped
+# iterate; "spectral" scores the spectral estimator itself; "zero" is the
+# trivial baseline whose loss is exactly s.
+_ESTIMATORS = {
+    "em": _em,
+    "spectral": lambda data, config, gi, k: (spectral_init(data), 0),
+    "zero": lambda data, config, gi, k: (np.zeros(data.d), 0),
+}
+
+
+def _check_estimators(estimators: tuple[str, ...]) -> None:
+    """The checks of risk_compare's names: some, none twice, each one known."""
+    if not estimators:
+        raise ValueError("estimators must be non-empty")
+    if len(set(estimators)) != len(estimators):
+        raise ValueError("duplicate estimator names")
+    for name in estimators:
+        if name not in _ESTIMATORS:
+            raise ValueError(f"unknown estimator {name!r}; expected subset of {tuple(_ESTIMATORS)}")
+
+
+def _em_cell(config: ExperimentConfig, gi: int, k: int, estimators) -> tuple[Row, ...]:
+    """One replicate of one grid cell: a Row per estimator, all on one dataset."""
     n, d, s = config.grid[gi]
     spec = ModelSpec.along_axis(s, d)
     data = sample_dataset(spec, n, derive_seed(config.master_seed, gi, k, _STREAM_DATA))
     rows = []
     for name in estimators:
-        if name == "em":
-            theta0 = make_init(config.init, data,
-                               seed=derive_seed(config.master_seed, gi, k, _STREAM_INIT))
-            theta, iters = iterate_em(data.samples, theta0, config.stop_for(n),
-                                      dtype=config.np_dtype)
-        elif name == "spectral":
-            theta, iters = spectral_init(data), 0
-        else:
-            theta, iters = np.zeros(d), 0
+        theta, iters = _ESTIMATORS[name](data, config, gi, k)
         rows.append(Row(n=n, d=d, s=spec.s, replicate=k,
                         final_loss=loss(theta, spec.theta_star), iters=iters,
                         final_loglik=log_likelihood(data, theta)))
     return tuple(rows)
 
 
-def _run_tasks(config: ExperimentConfig, cell) -> list:
-    """Every (grid index, replicate) cell in task order, BLAS on one thread."""
+def _sweep(config: ExperimentConfig, estimators: tuple[str, ...]) -> dict[str, ExperimentResult]:
+    """Every (grid index, replicate) cell in task order on config.threads
+    workers, BLAS on one thread; the result of each estimator by name."""
     tasks = [(gi, k) for gi in range(len(config.grid)) for k in range(config.replicates)]
-    return _map_one_blas(lambda t: cell(*t), tasks, config.threads)
-
-
-def _default_summary_path(path: Path) -> Path:
-    return path.with_name(path.stem + ".summary.json")
+    cells = _map_one_blas(lambda t: _em_cell(config, *t, estimators), tasks, config.threads)
+    return {name: ExperimentResult(rows=rows, summaries=_summarize(rows))
+            for name, rows in zip(estimators, zip(*cells))}
 
 
 def rate_sweep(config: ExperimentConfig) -> ExperimentResult:
     """Final EM loss over the grid; slope of log mean loss vs log n per (d, s).
 
-    Writes the row CSV to config.output_path and the slope summary next to
-    it as <stem>.summary.json when an output path is set.
+    The "em" result of risk_compare(config, ("em",)), which the CLI writes
+    as the row CSV and its summary JSON.
     """
-    rows = _run_tasks(config, lambda gi, k: _em_cell(config, gi, k, ("em",))[0])
-    result = ExperimentResult(rows=tuple(rows), summaries=_summarize(rows))
-    if config.output_path is not None:
-        path = Path(config.output_path)
-        result.to_csv(path)
-        result.summary_to_json(_default_summary_path(path))
-    return result
+    return _sweep(config, ("em",))["em"]
 
 
 @dataclass(frozen=True)
@@ -276,31 +285,13 @@ class RiskComparison:
 
 
 def risk_compare(config: ExperimentConfig, estimators=("em", "spectral", "zero")) -> RiskComparison:
-    """Monte Carlo risk of each estimator on identical datasets (see _em_cell).
+    """Monte Carlo risk of each estimator on identical datasets (see _ESTIMATORS).
 
-    Output files take the estimator name as a suffix on config.output_path's
-    stem, with a single combined <stem>.summary.json.
+    The CLI writes one row CSV per estimator and one combined summary JSON.
     """
     estimators = tuple(estimators)
-    if not estimators:
-        raise ValueError("estimators must be non-empty")
-    if len(set(estimators)) != len(estimators):
-        raise ValueError("duplicate estimator names")
-    for name in estimators:
-        if name not in _ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}; expected subset of {_ESTIMATORS}")
-
-    cells = _run_tasks(config, lambda gi, k: _em_cell(config, gi, k, estimators))
-    results = {name: ExperimentResult(rows=rows, summaries=_summarize(rows))
-               for name, rows in zip(estimators, zip(*cells))}
-    comparison = RiskComparison(results=results)
-    if config.output_path is not None:
-        path = Path(config.output_path)
-        for name in estimators:
-            results[name].to_csv(path.with_name(f"{path.stem}_{name}{path.suffix}"))
-        write_json(_default_summary_path(path),
-                   {name: [s.to_dict() for s in results[name].summaries] for name in estimators})
-    return comparison
+    _check_estimators(estimators)
+    return RiskComparison(results=_sweep(config, estimators))
 
 
 @dataclass(frozen=True)
@@ -322,6 +313,12 @@ class ContractionProbe:
         write_table(path, ("t", "ratio"), range(self.ratios.size), self.ratios)
 
 
+def _check_window(burn_in: int, extra: int) -> None:
+    """The data-free check of mle_contraction_probe."""
+    if burn_in < 1 or extra < 1:
+        raise ValueError("burn_in and extra must be >= 1")
+
+
 def mle_contraction_probe(data: Dataset, theta0, burn_in: int, extra: int) -> ContractionProbe:
     """Ratios |theta_{t+1} - theta_inf| / |theta_t - theta_inf| after burn-in.
 
@@ -338,8 +335,7 @@ def mle_contraction_probe(data: Dataset, theta0, burn_in: int, extra: int) -> Co
     moves and the window is always empty.
     """
     spec = data.spec
-    if burn_in < 1 or extra < 1:
-        raise ValueError("burn_in and extra must be >= 1")
+    _check_window(burn_in, extra)
     if not np.any(theta0):
         raise ValueError("a zero start is a fixed point of the EM map; "
                          "the contraction probe needs a nonzero start")
@@ -413,6 +409,12 @@ class SublinearProbe:
 _FIT_FROM = 100  # first step of the sublinear probe's fit, past the start's transient
 
 
+def _check_sublinear(T: int) -> None:
+    """The check of sublinear_rate_probe: the run reaches past _FIT_FROM."""
+    if T <= _FIT_FROM:
+        raise ValueError(f"T must exceed {_FIT_FROM}, the first step of the fit")
+
+
 def sublinear_rate_probe(rule: QuadratureRule, T: int = 10_000) -> SublinearProbe:
     """Slope of log theta_t vs log t for the signal-free population map.
 
@@ -420,8 +422,7 @@ def sublinear_rate_probe(rule: QuadratureRule, T: int = 10_000) -> SublinearProb
     iterates from theta_0 = 1 decay like t^{-1/2}; the fit over t in
     [_FIT_FROM, T] (_FIT_FROM = 100) recovers that exponent.
     """
-    if T <= _FIT_FROM:
-        raise ValueError(f"T must exceed {_FIT_FROM}, the first step of the fit")
+    _check_sublinear(T)
     thetas = np.empty(T + 1)
     thetas[0] = 1.0
     for t in range(T):

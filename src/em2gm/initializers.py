@@ -33,8 +33,9 @@ _KINDS = ("random_sphere", "spectral", "fixed", "zero")
 class InitSpec:
     """Which initializer to use and its parameters.
 
-    ``fixed_value`` must be present exactly when kind is "fixed"; ``c0``
-    scales the random-sphere radius.
+    ``fixed_value`` must be present exactly when kind is "fixed", and
+    finite; ``c0`` scales the random-sphere radius and is finite and
+    positive.
     """
 
     kind: str
@@ -46,10 +47,13 @@ class InitSpec:
             raise ValueError(f"unknown init kind {self.kind!r}; expected one of {_KINDS}")
         if (self.fixed_value is not None) != (self.kind == "fixed"):
             raise ValueError("fixed_value must be given iff kind='fixed'")
-        if not (self.c0 > 0.0):
-            raise ValueError("c0 must be positive")
+        if not (0.0 < self.c0 < math.inf):
+            raise ValueError("c0 must be finite and positive")
         if self.fixed_value is not None:
-            object.__setattr__(self, "fixed_value", tuple(float(v) for v in self.fixed_value))
+            value = tuple(float(v) for v in self.fixed_value)
+            if not all(map(math.isfinite, value)):
+                raise ValueError("fixed_value must be finite")
+            object.__setattr__(self, "fixed_value", value)
 
 
 def random_sphere_init(d: int, n: int, c0: float, seed: int) -> np.ndarray:
@@ -62,8 +66,8 @@ def random_sphere_init(d: int, n: int, c0: float, seed: int) -> np.ndarray:
         raise ValueError("d must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2 so that log n > 0")
-    if not (c0 > 0.0):
-        raise ValueError("c0 must be positive")
+    if not (0.0 < c0 < math.inf):
+        raise ValueError("c0 must be finite and positive")
     radius = c0 * (d * math.log(n) / n) ** 0.25
     rng = make_generator(seed)
     z = standard_normals(rng, d)

@@ -205,11 +205,25 @@ class PopulationState:
             raise ValueError("beta must be nonnegative")
 
 
-def _check_s(s: float) -> None:
-    # the rule of ModelSpec.along_axis; the scalar maps, called per step,
-    # do not check
+def _check_trajectory(s: float, T: int) -> None:
+    """The checks of population_trajectory: s finite and nonnegative (the
+    rule of ModelSpec.along_axis; the scalar maps, called per step, do not
+    check) and T >= 1."""
     if not (math.isfinite(s) and s >= 0.0):
         raise ValueError(f"s must be finite and nonnegative, got {s}")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+
+
+def _check_sandwich(theta0: float, s: float, w: float, T: int) -> None:
+    """The checks of sandwich_sequences: those of population_trajectory, and
+    theta0 finite and positive, w finite and nonnegative (max(0, nan) is 0,
+    so a nan would not show in the lower envelope)."""
+    _check_trajectory(s, T)
+    if not (math.isfinite(theta0) and theta0 > 0.0):
+        raise ValueError("theta0 must be finite and positive")
+    if not (math.isfinite(w) and w >= 0.0):
+        raise ValueError("w must be finite and nonnegative")
 
 
 def population_trajectory(init: PopulationState, s: float, T: int,
@@ -221,9 +235,7 @@ def population_trajectory(init: PopulationState, s: float, T: int,
     floor below only absorbs quadrature noise at the 1e-17 level. ``s`` must
     be finite and nonnegative.
     """
-    _check_s(s)
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_trajectory(s, T)
     states = [init]
     for _ in range(T):
         cur = states[-1]
@@ -242,16 +254,10 @@ def sandwich_sequences(theta0: float, s: float, w: float, T: int,
     upper_{t+1} = f(upper_t) + w upper_t and lower_{t+1} = f(lower_t) -
     w lower_t, both from theta0, the lower sequence floored at 0. Returns
     (upper, lower), each of length T+1. Their limits are the fixed points
-    invert_q(1 - w) and invert_q(1 + w). ``s`` must be finite and
-    nonnegative.
+    invert_q(1 - w) and invert_q(1 + w). ``s`` and ``w`` must be finite and
+    nonnegative, ``theta0`` finite and positive.
     """
-    _check_s(s)
-    if theta0 <= 0.0:
-        raise ValueError("theta0 must be positive")
-    if w < 0.0:
-        raise ValueError("w must be nonnegative")
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    _check_sandwich(theta0, s, w, T)
     upper = np.empty(T + 1)
     lower = np.empty(T + 1)
     upper[0] = lower[0] = theta0

@@ -90,6 +90,8 @@ class StopRule:
         """Iteration budget max_iters, or ceil(c_iter * sqrt(n)) when it is 0:
         the sample EM map needs order sqrt(n) steps in the worst case, c_iter
         adds the safety factor."""
+        if not max_iters and not (0.0 < c_iter < math.inf):
+            raise ValueError(f"c_iter must be finite and positive, got {c_iter}")
         return cls(max_iters=max_iters or math.ceil(c_iter * math.sqrt(n)), rel_tol=rel_tol)
 
     def step_small(self, delta_norm: float, theta_norm: float) -> bool:

@@ -73,6 +73,66 @@ def test_dry_run_prints_plan_and_writes_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_dry_run_of_every_command_at_its_defaults_exits_zero(capsys):
+    for command in _TINY:
+        assert main([command, "--dry-run"]) == 0, command
+        assert capsys.readouterr().out.startswith(f"dry-run {command}: ")
+
+
+# Each fails in the build step: the dry run exits 1 as the run does, with its
+# message, and neither creates --out.
+_INVALID = [
+    (["rate-sweep", "--dtype", "float32"], "rel_tol=1e-08 is below float32 eps"),
+    (["rate-sweep", "--dtype", "float16"], "dtype must be float32 or float64"),
+    (["trajectory", "--d", "3", "--theta0", "1,2"], "--theta0 has length 2, expected d=3"),
+    (["trajectory", "--init", "bogus"], "unknown init 'bogus'"),
+    (["deviation", "--d", "0"], "d must be >= 1"),
+    (["sandwich", "--w", "-0.1"], "w must be finite and nonnegative"),
+    (["mle-probe", "--init", "zero"], "unknown init 'zero'"),
+    (["sublinear", "--iters", "50"], "T must exceed 100"),
+    (["population", "--iters", "0"], "T must be >= 1"),
+    (["population", "--beta0", "-1"], "beta must be nonnegative"),
+    (["figure2", "--order", "0"], "deg must be a positive integer"),
+    (["sandwich", "--iters", "0"], "T must be >= 1"),
+    (["risk-compare", "--estimators", "em,bogus"], "unknown estimator 'bogus'"),
+    (["risk-compare", "--replicates", "0"], "replicates must be >= 1"),
+    (["deviation", "--n", "0"], "--n must be >= 2, got 0"),
+    (["sandwich", "--w", "nan"], "w must be finite and nonnegative"),
+    (["sandwich", "--theta0", "inf"], "theta0 must be finite and positive"),
+    (["trajectory", "--seed", "-1"], "--seed must be in [0, 2**64), got -1"),
+    (["deviation", "--seed", str(2**64)], f"--seed must be in [0, 2**64), got {2**64}"),
+    (["trajectory", "--c-iter", "inf"], "c_iter must be finite and positive, got inf"),
+    (["rate-sweep", "--rel-tol", "-1"], "rel_tol must be nonnegative"),
+    (["rate-sweep", "--s", "inf"], "all s must be finite and nonnegative"),
+    (["risk-compare", "--c0", "inf"], "c0 must be finite and positive"),
+    (["trajectory", "--init", "fixed", "--theta0", "nan"], "fixed_value must be finite"),
+    (["mle-probe", "--burn-in", "0"], "burn_in and extra must be >= 1"),
+    (["mle-probe", "--n", "1"], "--n must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _INVALID, ids=[" ".join(a) for a, _ in _INVALID])
+def test_dry_run_fails_where_the_run_fails(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    errors = []
+    for extra in (["--dry-run"], []):
+        assert main([*argv, "--out", str(out), *extra]) == 1
+        errors.append(capsys.readouterr().err)
+    assert message in errors[0] and errors[0] == errors[1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--theta0", "--w"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sandwich_rejects_a_non_finite_start_or_width(tmp_path, capsys, flag, value):
+    # max(0, nan) is 0, so a nan width used to leave a lower envelope that looked valid
+    for extra in (["--dry-run"], []):
+        assert main(["sandwich", *_TINY["sandwich"], f"{flag}={value}", "--out", str(tmp_path),
+                     *extra]) == 1
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sandwich.csv").exists()
+
+
 def test_config_file_merges_under_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 500, "s": 0.25, "max-iters": 12}))
@@ -161,10 +221,12 @@ def test_bad_init_name_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["mle-probe", "risk-compare"])
 def test_init_fixed_is_unknown_without_theta0(tmp_path, capsys, command):
-    # neither command has --theta0, so "fixed" is not one of its initializers
+    # neither command has --theta0, so "fixed" is not one of its initializers;
+    # the MLE probe takes no zero start either
+    names = {"mle-probe": "random, spectral", "risk-compare": "random, spectral, zero"}[command]
     assert main([command, "--init", "fixed", "--n", "100", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "unknown init 'fixed'; expected one of random, spectral, zero" in err
+    assert f"unknown init 'fixed'; expected one of {names}\n" in err
     assert "--theta0" not in err
 
 
@@ -261,12 +323,14 @@ def test_mle_probe_command(tmp_path, capsys):
 
 
 def test_mle_probe_zero_init_exits_one(tmp_path, capsys):
-    # a zero start never moves, so the probe could only report an empty window
-    code = main(["mle-probe", "--d", "1", "--s", "3", "--n", "2000", "--burn-in", "60",
-                 "--init", "zero", "--seed", "2", "--out", str(tmp_path)])
-    assert code == 1
-    assert "fixed point" in capsys.readouterr().err
-    assert not (tmp_path / "mle_probe.csv").exists()
+    # a zero start never moves, so the probe could only report an empty window:
+    # zero is not one of the command's initializers
+    argv = ["mle-probe", "--d", "1", "--s", "3", "--n", "2000", "--burn-in", "60",
+            "--init", "zero", "--seed", "2", "--out", str(tmp_path / "out")]
+    for extra in (["--dry-run"], []):
+        assert main(argv + extra) == 1
+        assert "unknown init 'zero'; expected one of random, spectral" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_figure2_command(tmp_path, capsys):
@@ -317,6 +381,8 @@ def test_risk_compare_command(tmp_path, capsys):
     assert (tmp_path / "risk_spectral.csv").exists()
     assert (tmp_path / "risk_zero.csv").exists()
     assert not (tmp_path / "risk_em.csv").exists()
+    summary = json.loads((tmp_path / "risk.summary.json").read_text())
+    assert list(summary) == ["spectral", "zero"]
 
 
 def test_risk_compare_honors_max_iters(tmp_path):

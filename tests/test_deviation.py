@@ -55,6 +55,15 @@ def test_probe_grid_layout():
     np.testing.assert_array_equal(thetas[5], [0.0, 3.0])
 
 
+def test_probe_grid_leaves_the_callers_arrays_writeable():
+    d, r = np.eye(2), np.array([1.0, 2.0])
+    grid = ProbeGrid(d, r)
+    assert d.flags.writeable and r.flags.writeable
+    assert not grid.directions.flags.writeable and not grid.radii.flags.writeable
+    d[0, 0] = r[0] = 5.0  # the grid keeps its own copies
+    np.testing.assert_array_equal(grid.thetas()[0], [1.0, 0.0])
+
+
 def test_probe_grid_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         ProbeGrid(directions=np.eye(2), radii=np.array([1.0, 0.0]))

@@ -27,12 +27,10 @@ from em2gm.rng import derive_seed
 from em2gm.sample_em import iterate_em
 
 
-def _config(tmp_path=None, **kw):
+def _config(**kw):
     kw.setdefault("replicates", 3)
     kw.setdefault("init", InitSpec(kind="fixed", fixed_value=(1.0,)))
     kw.setdefault("master_seed", 99)
-    if tmp_path is not None:
-        kw.setdefault("output_path", tmp_path / "sweep.csv")
     return ExperimentConfig.from_product([100, 400], [1], [1.0], **kw)
 
 
@@ -77,6 +75,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(grid=((10, 1, 1.0),), replicates=1, init=init, master_seed=0,
                          threads=0)
+    with pytest.raises(ValueError, match="all s must be finite"):
+        ExperimentConfig(grid=((10, 1, math.inf),), replicates=1, init=init, master_seed=0)
+    # the stop rule of every cell is checked before any cell runs
+    with pytest.raises(ValueError, match="c_iter must be finite and positive"):
+        ExperimentConfig(grid=((10, 1, 1.0),), replicates=1, init=init, master_seed=0,
+                         c_iter=math.inf)
+    with pytest.raises(ValueError, match="rel_tol must be nonnegative"):
+        ExperimentConfig(grid=((10, 1, 1.0),), replicates=1, init=init, master_seed=0,
+                         rel_tol=-1.0)
 
 
 def test_config_rejects_float32_rel_tol_below_eps():
@@ -111,8 +118,10 @@ def test_config_grid_ordering_and_stop():
 
 
 def test_rate_sweep_writes_csv_and_summary(tmp_path):
-    cfg = _config(tmp_path)
+    cfg = _config()
     result = rate_sweep(cfg)
+    result.to_csv(tmp_path / "sweep.csv")
+    result.summary_to_json(tmp_path / "sweep.summary.json")
     csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert csv_lines[0] == "n,d,s,replicate,final_loss,iters,final_loglik"
     assert len(csv_lines) == 1 + 2 * 3
@@ -143,21 +152,32 @@ def test_rate_sweep_rows_are_reconstructible():
 
 
 def test_rate_sweep_deterministic_across_thread_counts(tmp_path):
-    a = rate_sweep(_config(tmp_path, threads=1))
+    a = rate_sweep(_config(threads=1))
+    a.to_csv(tmp_path / "sweep.csv")
     b_path = tmp_path / "b.csv"
     b = rate_sweep(ExperimentConfig.from_product(
         [100, 400], [1], [1.0], replicates=3,
-        init=InitSpec(kind="fixed", fixed_value=(1.0,)), master_seed=99,
-        output_path=b_path, threads=4))
+        init=InitSpec(kind="fixed", fixed_value=(1.0,)), master_seed=99, threads=4))
+    b.to_csv(b_path)
     assert a.rows == b.rows
     assert (tmp_path / "sweep.csv").read_bytes() == b_path.read_bytes()
     # at d >= 2 every sweep thread calls BLAS at once
     runs = [rate_sweep(ExperimentConfig.from_product(
         [100, 400], [3], [1.0], replicates=3, init=InitSpec(kind="random_sphere"),
-        master_seed=99, output_path=tmp_path / f"d3_{threads}.csv", threads=threads))
-        for threads in (1, 4)]
+        master_seed=99, threads=threads)) for threads in (1, 4)]
+    for threads, run in zip((1, 4), runs):
+        run.to_csv(tmp_path / f"d3_{threads}.csv")
     assert runs[0].rows == runs[1].rows
     assert (tmp_path / "d3_1.csv").read_bytes() == (tmp_path / "d3_4.csv").read_bytes()
+
+
+def test_rate_sweep_is_the_em_result_of_risk_compare():
+    cfg = _config(init=InitSpec(kind="random_sphere"), threads=2)
+    sweep = rate_sweep(cfg)
+    em = risk_compare(cfg, ("em",)).results["em"]
+    assert sweep.rows == em.rows and sweep.summaries == em.summaries
+    # the em rows do not depend on the other estimators scored beside them
+    assert risk_compare(cfg).results["em"].rows == em.rows
 
 
 def test_risk_compare_deterministic_across_thread_counts(tmp_path):
@@ -165,13 +185,16 @@ def test_risk_compare_deterministic_across_thread_counts(tmp_path):
     for threads in (1, 2):
         cfg = ExperimentConfig.from_product(
             [300, 1000], [3], [0.3, 1.0], replicates=2, init=InitSpec(kind="random_sphere"),
-            master_seed=5, output_path=tmp_path / f"t{threads}" / "risk.csv", threads=threads)
-        cfg.output_path.parent.mkdir()
+            master_seed=5, threads=threads)
         runs[threads] = risk_compare(cfg)
+        for est, result in runs[threads].results.items():
+            result.to_csv(tmp_path / f"t{threads}_{est}.csv")
+            result.summary_to_json(tmp_path / f"t{threads}_{est}.summary.json")
     for est in ("em", "spectral", "zero"):
         assert runs[1].results[est].rows == runs[2].results[est].rows
-    for name in ("risk_em.csv", "risk_spectral.csv", "risk_zero.csv", "risk.summary.json"):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+        for suffix in (".csv", ".summary.json"):
+            want = (tmp_path / f"t1_{est}{suffix}").read_bytes()
+            assert (tmp_path / f"t2_{est}{suffix}").read_bytes() == want
 
 
 def _blas_control_or_skip():
@@ -271,13 +294,13 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert (tmp_path / run / name).read_bytes() == want, (run, name)
 
 
-def test_risk_compare_estimators(tmp_path):
+def test_risk_compare_estimators():
     cfg = ExperimentConfig.from_product(
         [500], [3], [1.0], replicates=5, init=InitSpec(kind="random_sphere"),
-        master_seed=7, output_path=tmp_path / "risk.csv")
+        master_seed=7)
     comparison = risk_compare(cfg)
+    assert list(comparison.results) == ["em", "spectral", "zero"]
     for est in ("em", "spectral", "zero"):
-        assert (tmp_path / f"risk_{est}.csv").exists()
         assert len(comparison.results[est].rows) == 5
     for row in comparison.results["zero"].rows:
         assert row.final_loss == 1.0  # the zero estimator misses by exactly s
@@ -288,17 +311,18 @@ def test_risk_compare_estimators(tmp_path):
     em_rows = comparison.results["em"].rows
     assert comparison.mean_loss("em", 500, 3, 1.0) == pytest.approx(
         float(np.mean([r.final_loss for r in em_rows])))
-    combined = json.loads((tmp_path / "risk.summary.json").read_text())
-    assert set(combined) == {"em", "spectral", "zero"}
 
 
 def test_risk_compare_rejects_unknown_estimator(tmp_path):
     cfg = ExperimentConfig.from_product([100], [1], [1.0], replicates=1,
                                         init=InitSpec(kind="zero"), master_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown estimator 'mystery'; "
+                                         r"expected subset of \('em', 'spectral', 'zero'\)"):
         risk_compare(cfg, estimators=("em", "mystery"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         risk_compare(cfg, estimators=())
+    with pytest.raises(ValueError, match="duplicate"):
+        risk_compare(cfg, estimators=("zero", "zero"))
     with pytest.raises(KeyError):
         risk_compare(cfg, estimators=("zero",)).mean_loss("zero", 999, 1, 1.0)
 

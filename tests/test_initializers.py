@@ -17,6 +17,11 @@ def test_init_spec_validation():
         InitSpec(kind="zero", fixed_value=(1.0,))
     with pytest.raises(ValueError):
         InitSpec(kind="random_sphere", c0=0.0)
+    for c0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c0 must be finite and positive"):
+            InitSpec(kind="random_sphere", c0=c0)
+    with pytest.raises(ValueError, match="fixed_value must be finite"):
+        InitSpec(kind="fixed", fixed_value=(1.0, math.nan))
 
 
 def test_random_sphere_radius_is_exact():

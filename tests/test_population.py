@@ -233,6 +233,12 @@ def test_sandwich_validates_inputs(rule):
         sandwich_sequences(0.0, 1.0, 0.05, 10, rule)
     with pytest.raises(ValueError):
         sandwich_sequences(0.5, 1.0, -0.1, 10, rule)
+    # max(0, nan) is 0: a nan start or width would not show in the lower envelope
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta0 must be finite and positive"):
+            sandwich_sequences(bad, 1.0, 0.05, 10, rule)
+        with pytest.raises(ValueError, match="w must be finite and nonnegative"):
+            sandwich_sequences(0.5, 1.0, bad, 10, rule)
 
 
 @pytest.mark.parametrize("s", [-1.0, -1e-300, math.nan, math.inf])

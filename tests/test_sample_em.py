@@ -91,6 +91,9 @@ def test_stop_rule_budget_formula():
     assert StopRule.for_n(50, c_iter=10.0).max_iters == math.ceil(10.0 * math.sqrt(50))
     # a nonzero max_iters replaces the budget
     assert StopRule.for_n(10_000, 0.25, 0.0, max_iters=7) == StopRule(7, 0.0)
+    for c_iter in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_iter must be finite and positive"):
+            StopRule.for_n(10_000, c_iter)
 
 
 def test_stop_rule_validation():
