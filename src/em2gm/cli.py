@@ -328,7 +328,7 @@ def _cmd_risk_compare(cfg: dict) -> _Run:
         write_line_chart(out / "risk.svg", cfg["s_grid"], losses,
                          title="mean loss vs s", xlabel="s", ylabel="loss")
         stats = " ".join(f"{name}={_fmt(np.mean(losses[name]))}" for name in estimators)
-        return f"mean_loss[{estimators[0]} first] {stats} -> {out / 'risk.csv'}"
+        return f"mean_loss[{estimators[0]} first] {stats} -> {out / 'risk.summary.json'}"
 
     return run
 

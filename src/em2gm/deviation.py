@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .model import Dataset, ModelSpec, SampleStream
-from .population import F_pop, G_pop, QuadratureRule, _phi
+from .population import QuadratureRule, _fg_pop, _phi
 from .rng import make_generator, standard_normals
 from .sample_em import em_map_batch
 from .svg import write_table
@@ -132,13 +132,14 @@ def population_map_ddim(theta, spec: ModelSpec, rule: QuadratureRule) -> np.ndar
         r = float(np.linalg.norm(theta))
         if r == 0.0:
             return np.zeros(spec.d)
-        return G_pop(0.0, r, 0.0, rule) * (theta / r)
+        return _fg_pop(0.0, r, 0.0, rule)[1] * (theta / r)
     alpha = float(theta @ eta)
     resid = theta - alpha * eta
     beta = float(np.linalg.norm(resid))
-    out = F_pop(alpha, beta, spec.s, rule) * eta
+    F, G = _fg_pop(alpha, beta, spec.s, rule)
+    out = F * eta
     if beta > 0.0:
-        out += (G_pop(alpha, beta, spec.s, rule) / beta) * resid
+        out += (G / beta) * resid
     return out
 
 

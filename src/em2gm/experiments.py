@@ -6,11 +6,11 @@ average the final loss over replicates, and regress log mean loss on log n.
 Every replicate draws its seeds from a SeedSequence fan-out keyed by
 (master_seed, grid index, replicate, stream), so results are bit-identical
 across reruns and across any parallel schedule; rows are merged in task-key
-order, never completion order. Every cell runs with numpy's BLAS on one
-thread, so ``threads`` sweep workers use that many cores and the bytes of a
-sweep do not depend on the BLAS thread count either. The cells run through
-sample_em's _map_one_blas, as do the blocks of the batch map behind the
-deviation probe, which uses all cores the same way. The workers are threads:
+order, never completion order. Every em2gm pass computes with numpy's BLAS
+on one thread (model._one_blas_thread), so ``threads`` sweep workers use that
+many cores and no output depends on the BLAS thread count. The cells run
+through sample_em's _map_in_order, as do the blocks of the batch map behind
+the deviation probe, which uses all cores the same way. The workers are threads:
 tanh and the direct BLAS reduction of the f_n kernel run without the GIL, as
 does its projection at d = 1, but at d >= 2 the projection of one theta is a
 matrix-vector np.matmul, which holds the GIL, so the workers take turns on it.
@@ -34,7 +34,7 @@ from .initializers import InitSpec, make_init, spectral_init
 from .model import Dataset, ModelSpec, log_likelihood, loss, sample_dataset
 from .population import PopulationState, QuadratureRule, f_pop, population_trajectory
 from .rng import derive_seed
-from .sample_em import StopRule, _iterates, _map_one_blas, iterate_em
+from .sample_em import StopRule, _iterates, _map_in_order, iterate_em
 from .svg import write_json, write_table
 
 __all__ = [
@@ -256,7 +256,7 @@ def _sweep(config: ExperimentConfig, estimators: tuple[str, ...]) -> dict[str, E
     """Every (grid index, replicate) cell in task order on config.threads
     workers, BLAS on one thread; the result of each estimator by name."""
     tasks = [(gi, k) for gi in range(len(config.grid)) for k in range(config.replicates)]
-    cells = _map_one_blas(lambda t: _em_cell(config, *t, estimators), tasks, config.threads)
+    cells = _map_in_order(lambda t: _em_cell(config, *t, estimators), tasks, config.threads)
     return {name: ExperimentResult(rows=rows, summaries=_summarize(rows))
             for name, rows in zip(estimators, zip(*cells))}
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, _one_blas_thread
 from .rng import make_generator, standard_normals
 
 __all__ = [
@@ -91,6 +91,7 @@ def spectral_init(data: Dataset) -> np.ndarray:
     parameter's.
     """
     S = data.samples
+    _one_blas_thread()
     evals, evecs = np.linalg.eigh(S.T @ S / data.n)
     lam = float(evals[-1])
     if lam <= 1.0:

@@ -27,8 +27,13 @@ product, so sweep threads overlap their reductions; with no such library, or
 for a block of one column, where np.matmul calls no BLAS, the kernel reduces
 with np.matmul. The projection of one theta at d >= 2 is a matrix-vector
 np.matmul, which holds the GIL for its whole product, so sweep threads take
-turns on it. This module owns the one lookup of that
-library's routines (_openblas), which sample_em's BLAS thread control uses too.
+turns on it. This module owns the one lookup of that library's routines
+(_openblas) and the one BLAS rule, _one_blas_thread: every em2gm pass computes
+with that library on one thread, set by _kernel's set-up, spectral_init,
+em_jacobian and sample_em's ordered thread map and never restored, as a
+threaded BLAS sums in an order that depends on its thread count (at d = 1 it
+splits a long block's dot) and no em2gm kernel gains from its threads. So
+once em2gm has computed, numpy's BLAS stays on one thread in that process.
 There is one sampler, _draw_rows: SampleStream draws any range of rows with
 it from a generator positioned at its first row and checks them finite, so
 the batch map's workers draw their own blocks of one stream and the
@@ -309,6 +314,7 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
         raise ValueError("samples has no rows")
     if theta.ndim not in (1, 2) or theta.shape[-1] != d:
         raise ValueError(f"theta has shape {theta.shape}, expected ({d},) or (k, {d})")
+    _one_blas_thread()
     stack = theta.shape[:-1]  # () for one theta, (k,) for k of them
     flat = d == 1 and not stack  # project one column by one number
     block = _block(d, stack[0] if stack else 1, samples.itemsize)
@@ -388,6 +394,26 @@ def _cblas(dtype: np.dtype):
     dot.argtypes, dot.restype = (i, p, i, p, i), x
     gemm.argtypes, gemm.restype = (e, e, e, i, i, i, x, p, i, p, i, x, p, i), None
     return gemv, dot, gemm, i, x
+
+
+@functools.cache
+def _blas_thread_control():
+    """openblas_set_num_threads of numpy's OpenBLAS, typed for ctypes, or
+    None (another BLAS, whose thread count is left alone)."""
+    found = _openblas("openblas_set_num_threads")
+    if found is None:
+        return None
+    (set_threads,), _ = found
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    return set_threads
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's OpenBLAS to one thread for the rest of the process (see
+    the module docstring); a no-op with another BLAS."""
+    set_threads = _blas_thread_control()
+    if set_threads is not None:
+        set_threads(1)
 
 
 _ROW_MAJOR, _NO_TRANS, _TRANS = ctypes.c_int(101), ctypes.c_int(111), ctypes.c_int(112)

@@ -34,6 +34,7 @@ scheme agrees with adaptive reference quadrature to better than 1e-12 for
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,8 +71,8 @@ class QuadratureRule:
     """Gauss-Hermite rule plus the fixed layer grid for the split evaluation.
 
     ``nodes`` and ``weights`` are the raw physicists' Gauss-Hermite data
-    (weights sum to sqrt(pi)); the derived arrays are cached so a rule can be
-    built once and shared, read-only, across any number of evaluations.
+    (weights sum to sqrt(pi)), kept as read-only copies; the derived arrays
+    are cached, read-only too, so one rule serves any number of evaluations.
     """
 
     order: int
@@ -87,9 +88,10 @@ class QuadratureRule:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        nodes, weights = (np.array(a, dtype=np.float64) for a in (self.nodes, self.weights))
         # Standard-normal form of the Hermite rule: E[h(Z)] ~ sum wz h(z).
-        z = self.nodes * math.sqrt(2.0)
-        wz = self.weights / math.sqrt(math.pi)
+        z = nodes * math.sqrt(2.0)
+        wz = weights / math.sqrt(math.pi)
         # Composite Gauss-Legendre panels of width 1 on [0, _LAYER_CUTOFF].
         per_panel = max(16, self.order // 5)
         gx, gw = np.polynomial.legendre.leggauss(per_panel)
@@ -97,15 +99,21 @@ class QuadratureRule:
         lx = (0.5 * (gx + 1.0)[None, :] + offs[:, None]).ravel()
         lw = np.tile(0.5 * gw, _LAYER_CUTOFF)
         lg = 2.0 / (1.0 + np.exp(2.0 * lx))
-        for name, arr in (("_z", z), ("_wz", wz), ("_lx", lx), ("_lw", lw), ("_lg", lg)):
+        for name, arr in (("nodes", nodes), ("weights", weights), ("_z", z), ("_wz", wz),
+                          ("_lx", lx), ("_lw", lw), ("_lg", lg)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
 def build_rule(order: int = 80) -> QuadratureRule:
-    """Quadrature rule of the given Gauss-Hermite order (default 80)."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+    """Quadrature rule of the given Gauss-Hermite order (default 80), built
+    once per order and shared: the same order gives the same object."""
+    return _rule(order)
+
+
+@functools.cache
+def _rule(order: int) -> QuadratureRule:
+    return QuadratureRule(order, *np.polynomial.hermite.hermgauss(order))
 
 
 def _tanh_kernels(m: float, r: float, rule: QuadratureRule) -> tuple[float, float]:
@@ -121,25 +129,25 @@ def _tanh_kernels(m: float, r: float, rule: QuadratureRule) -> tuple[float, floa
     return 2.0 * float(ndtr(m / r)) - 1.0 - l1, 2.0 * _phi(m / r) - lz
 
 
-def F_pop(alpha: float, beta: float, s: float, rule: QuadratureRule) -> float:
-    """Signal component of the population EM map, E[V tanh(alpha V + beta W)]."""
-    alpha = float(alpha)
+def _fg_pop(alpha: float, beta: float, s: float, rule: QuadratureRule) -> tuple[float, float]:
+    # (F, G) at one state from one evaluation of the two Gaussian integrals
+    alpha, beta = float(alpha), float(beta)
     r = math.hypot(alpha, beta)
     if r == 0.0:
-        return 0.0
+        return 0.0, 0.0
     t1, tz = _tanh_kernels(alpha * s, r, rule)
-    return s * t1 + (alpha / r) * tz
+    # with no orthogonal coordinate to begin with the map never creates one
+    return s * t1 + (alpha / r) * tz, (beta / r) * tz if beta != 0.0 else 0.0
+
+
+def F_pop(alpha: float, beta: float, s: float, rule: QuadratureRule) -> float:
+    """Signal component of the population EM map, E[V tanh(alpha V + beta W)]."""
+    return _fg_pop(alpha, beta, s, rule)[0]
 
 
 def G_pop(alpha: float, beta: float, s: float, rule: QuadratureRule) -> float:
     """Orthogonal component of the population EM map, E[W tanh(alpha V + beta W)]."""
-    beta = float(beta)
-    if beta == 0.0:
-        # No orthogonal coordinate to begin with; the map never creates one.
-        return 0.0
-    r = math.hypot(alpha, beta)
-    _, tz = _tanh_kernels(float(alpha) * s, r, rule)
-    return (beta / r) * tz
+    return _fg_pop(alpha, beta, s, rule)[1]
 
 
 def f_pop(theta: float, s: float, rule: QuadratureRule) -> float:
@@ -238,12 +246,8 @@ def population_trajectory(init: PopulationState, s: float, T: int,
     _check_trajectory(s, T)
     states = [init]
     for _ in range(T):
-        cur = states[-1]
-        nxt = PopulationState(
-            alpha=F_pop(cur.alpha, cur.beta, s, rule),
-            beta=max(0.0, G_pop(cur.alpha, cur.beta, s, rule)),
-        )
-        states.append(nxt)
+        F, G = _fg_pop(states[-1].alpha, states[-1].beta, s, rule)
+        states.append(PopulationState(alpha=F, beta=max(0.0, G)))
     return states
 
 

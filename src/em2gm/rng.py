@@ -2,14 +2,12 @@
 
 Everything stochastic in this package flows through a counter-based Philox
 generator and a fixed uniform-to-normal convention, so that every sample is
-reproducible bit for bit from its seed. Sweeps (``rate_sweep``,
-``risk_compare``) are then bit-identical on one machine regardless of how the
-work is scheduled across replicates or how many threads BLAS has, because
-their cells run BLAS on one thread, and so does the deviation probe's batch
-map, whose workers each draw their own rows of one stream from a generator
-positioned at their first row. trajectory and mle-probe keep the threaded
-BLAS, so at d >= 2 the last bits of their results can depend on the BLAS
-thread count.
+reproducible bit for bit from its seed. Every output is then bit-identical
+on one machine regardless of how the work is scheduled across replicates,
+cores or the deviation probe's batch-map workers (each draws its own rows of
+one stream from a generator positioned at its first row), and of how many
+threads BLAS had: every em2gm pass computes with BLAS on one thread
+(model._one_blas_thread), which stays so for the rest of the process.
 
 Conventions (documented once, here):
 

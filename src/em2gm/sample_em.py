@@ -25,19 +25,17 @@ ones move in their last bits.
 
 em_map_batch, behind the deviation probe, runs the same kernel on groups of
 thetas in one walk over blocks of rows, from an array or drawn from a
-model.SampleStream; the cores take runs of a few blocks in turn, with BLAS on
-one thread (_map_one_blas, which runs the sweeps' cells too), and the block
-sums are folded in block order as the runs complete, so its bytes depend only
-on the inputs and its memory does not grow with the number of thetas. The
-thread count is set through model._openblas, the lookup of the bundled
-OpenBLAS that the kernel's reductions use too.
+model.SampleStream; the cores take runs of a few blocks in turn
+(_map_in_order, which runs the sweeps' cells too), and the block sums are
+folded in block order as the runs complete, so its bytes depend only on the
+inputs and its memory does not grow with the number of thetas. Every pass
+computes with BLAS on one thread (model._one_blas_thread, which the kernel's
+set-up, em_jacobian and _map_in_order call).
 """
 
 from __future__ import annotations
 
-import ctypes
 import enum
-import functools
 import math
 import os
 import threading
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Dataset, ModelSpec, SampleStream, _block, _kernel, _log_likelihood_from,
-                    _openblas, loss)
+                    _one_blas_thread, loss)
 from .svg import write_table
 
 __all__ = [
@@ -130,53 +128,19 @@ def em_map(data: Dataset, theta) -> np.ndarray:
     return _kernel(data.samples, theta)(theta)[0] / data.n
 
 
-@functools.cache
-def _blas_thread_control():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None.
-
-    With no such routines (another BLAS) the thread count is left alone.
-    """
-    found = _openblas("openblas_get_num_threads", "openblas_set_num_threads")
-    if found is None:
-        return None
-    (get, set_), _ = found
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
-
-
-# The BLAS thread count is process-wide: when several user threads run sweeps
-# or batch maps at once, only the outermost sets it and restores it.
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved = 1
-
-
-def _map_one_blas(fn, items, threads: int) -> list:
+def _map_in_order(fn, items, threads: int) -> list:
     """[fn(item) for item in items] on ``threads`` threads, BLAS on one thread.
 
     Results come in item order, whatever the schedule; one thread runs the
-    items in the calling thread. Worker threads on top of BLAS threads would
-    oversubscribe the cores, and a threaded BLAS sums in an order that depends
-    on its thread count. The previous count is restored afterwards.
+    items in the calling thread. BLAS is set to one thread first
+    (model._one_blas_thread), as worker threads on top of BLAS threads would
+    oversubscribe the cores.
     """
-    global _blas_users, _blas_saved
-    with _blas_lock:
-        control = _blas_thread_control()
-        if control is not None and _blas_users == 0:
-            _blas_saved = control[0]()
-            control[1](1)
-        _blas_users += 1
-    try:
-        if threads == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if control is not None and _blas_users == 0:
-                control[1](_blas_saved)
+    _one_blas_thread()
+    if threads == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 # Thetas per kernel pass of em_map_batch. On a 2-core Xeon, medians of 3 x 5
@@ -279,7 +243,7 @@ def em_map_batch(samples, thetas) -> np.ndarray:
             failed = True
             raise
 
-    _map_one_blas(work, slots, workers)
+    _map_in_order(work, slots, workers)
     return total / n
 
 
@@ -384,6 +348,7 @@ def em_jacobian(data: Dataset, theta) -> np.ndarray:
     if theta.shape != (data.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({data.d},)")
     y = data.samples
+    _one_blas_thread()
     # at d = 1 an elementwise product, as in the kernel
     x = np.abs(y[:, 0] * theta[0] if data.d == 1 else y @ theta)
     e = np.exp(-x)

@@ -1,11 +1,18 @@
 """Brute-force counterparts of closed forms in em2gm, and checks shared by
 several test files, used only by the tests."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
+from em2gm import model, population
 from em2gm.rng import make_generator
 
 
@@ -57,6 +64,24 @@ def f_pop_com(theta: float, s: float, rule) -> float:
     return math.exp(-0.5 * s * s) * float(rule._wz @ vals)
 
 
+def fg_pop_separately(alpha: float, beta: float, s: float, rule) -> tuple[float, float]:
+    """population.F_pop and G_pop as two separate evaluations, each with its
+    own call of population._tanh_kernels and its own zero case."""
+    a = float(alpha)
+    r = math.hypot(a, beta)
+    if r == 0.0:
+        F = 0.0
+    else:
+        t1, tz = population._tanh_kernels(a * s, r, rule)
+        F = s * t1 + (a / r) * tz
+    b = float(beta)
+    if b == 0.0:
+        return F, 0.0
+    r = math.hypot(alpha, b)
+    _, tz = population._tanh_kernels(float(alpha) * s, r, rule)
+    return F, (b / r) * tz
+
+
 def sample_rows_reference(spec, n: int, seed: int) -> np.ndarray:
     """model.sample_dataset's samples by the one-shot recipe, as an (n, d) view.
 
@@ -73,3 +98,29 @@ def sample_rows_reference(spec, n: int, seed: int) -> np.ndarray:
     for j in np.flatnonzero(spec.theta_star):
         yt[j] += spec.theta_star[j] * signs
     return yt.T
+
+
+def blas_threads_or_skip(cores: int = 1):
+    """(get, set) of the thread count of numpy's OpenBLAS; skips the test
+    with another BLAS, or on fewer than ``cores`` cores."""
+    found = model._openblas("openblas_get_num_threads", "openblas_set_num_threads")
+    if found is None:
+        pytest.skip("no thread control found for numpy's BLAS")
+    if (os.cpu_count() or 1) < cores:
+        pytest.skip(f"needs {cores} cores")
+    (get, set_), _ = found
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+def run_cli(out, *argv: str, **env: str) -> None:
+    """``python -m em2gm.cli *argv --out out`` in a fresh process, with no
+    BLAS thread variable set (numpy's BLAS at its default thread count, one
+    per core) unless ``env`` sets one."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    src = str(Path(model.__file__).parents[1])
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, base.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-m", "em2gm.cli", *argv, "--out", str(out)],
+                   env={**base, **env}, check=True, capture_output=True, timeout=300)

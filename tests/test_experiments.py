@@ -1,15 +1,12 @@
 import json
 import math
-import os
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from em2gm import experiments, sample_em
+from em2gm import experiments, model
 from em2gm.experiments import (
     ContractionProbe,
     ExperimentConfig,
@@ -25,6 +22,7 @@ from em2gm.initializers import InitSpec, make_init
 from em2gm.model import Dataset, ModelSpec, loss, sample_dataset
 from em2gm.rng import derive_seed
 from em2gm.sample_em import iterate_em
+from oracles import blas_threads_or_skip, run_cli
 
 
 def _config(**kw):
@@ -197,21 +195,14 @@ def test_risk_compare_deterministic_across_thread_counts(tmp_path):
             assert (tmp_path / f"t2_{est}{suffix}").read_bytes() == want
 
 
-def _blas_control_or_skip():
-    control = sample_em._blas_thread_control()
-    if control is None:
-        pytest.skip("no thread control found for numpy's BLAS")
-    return control
-
-
 def _d3_config(master_seed=3, **kw):
     return ExperimentConfig.from_product([100, 400], [3], [1.0], replicates=2,
                                          init=InitSpec(kind="random_sphere"),
                                          master_seed=master_seed, **kw)
 
 
-def test_sweep_cells_run_blas_on_one_thread_and_restore_it(monkeypatch):
-    get, set_ = _blas_control_or_skip()
+def test_sweep_cells_run_blas_on_one_thread_and_leave_it_so(monkeypatch):
+    get, set_ = blas_threads_or_skip()
     em_cell = experiments._em_cell
     seen = []
 
@@ -224,38 +215,38 @@ def test_sweep_cells_run_blas_on_one_thread_and_restore_it(monkeypatch):
     monkeypatch.setattr(experiments, "_em_cell", cell)
     before = get()
     try:
-        set_(2)
-        outer = get()
         for threads in (1, 2):
+            set_(2)
             rate_sweep(_d3_config(threads=threads))
-            assert get() == outer
+            assert get() == 1
+            set_(2)
             with pytest.raises(RuntimeError, match="cell failed"):
                 risk_compare(_d3_config(master_seed=4, threads=threads))
-            assert get() == outer
+            assert get() == 1
     finally:
         set_(before)
     assert seen and set(seen) == {1}
 
 
-def test_concurrent_sweeps_restore_blas_threads_once(monkeypatch):
+def test_concurrent_sweeps_leave_blas_on_one_thread(monkeypatch):
     # more sweeping user threads than cores, switching often: the count must
-    # read 1 in every cell and come back only after the last sweep ends
-    get, set_ = _blas_control_or_skip()
+    # read 1 in every cell and after the sweeps, and every sweep give the
+    # same rows
+    get, set_ = blas_threads_or_skip()
     em_cell = experiments._em_cell
     seen = []
     monkeypatch.setattr(experiments, "_em_cell",
                         lambda *args: seen.append(get()) or em_cell(*args))
     before, interval = get(), sys.getswitchinterval()
     try:
-        set_(2)
-        outer = get()
         sys.setswitchinterval(1e-6)
         rows = []
         for _ in range(10):
+            set_(2)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [pool.submit(rate_sweep, _d3_config(threads=2)) for _ in range(16)]
                 rows += [f.result(timeout=120).rows for f in futures]
-            assert get() == outer
+            assert get() == 1
     finally:
         sys.setswitchinterval(interval)
         set_(before)
@@ -265,29 +256,21 @@ def test_concurrent_sweeps_restore_blas_threads_once(monkeypatch):
 
 def test_sweep_runs_without_blas_thread_control(monkeypatch):
     expected = rate_sweep(_d3_config(threads=2)).rows
-    monkeypatch.setattr(sample_em, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(model, "_blas_thread_control", lambda: None)
     assert rate_sweep(_d3_config(threads=2)).rows == expected
     assert rate_sweep(_d3_config(threads=1)).rows == expected
 
 
 def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # at n=1e5, d=10 a threaded BLAS sums the EM matvecs in another order than
-    # one thread does (at n=2e4 OpenBLAS does not split them and both agree)
-    _blas_control_or_skip()
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("needs two cores for a threaded BLAS")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
-    src = str(Path(experiments.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    # at d=1, n=1e5 a threaded OpenBLAS splits the kernel's dot over a block
+    # of 65536 samples and sums it in another order than one thread does
+    blas_threads_or_skip(cores=2)
     runs = {"blas-default": ({}, "1"), "blas-default-2-workers": ({}, "2"),
             "blas-1": ({"OPENBLAS_NUM_THREADS": "1"}, "1")}
-    for name, (extra_env, threads) in runs.items():
-        subprocess.run([sys.executable, "-m", "em2gm.cli", "rate-sweep", "--d", "10",
-                        "--s", "1", "--n-grid", "100000", "--replicates", "2", "--c-iter", "1",
-                        "--init", "random", "--seed", "11", "--threads", threads,
-                        "--out", str(tmp_path / name)],
-                       env={**env, **extra_env}, check=True, capture_output=True, timeout=300)
+    for name, (env, threads) in runs.items():
+        run_cli(tmp_path / name, "rate-sweep", "--d", "1", "--s", "1", "--n-grid", "100000",
+                "--replicates", "2", "--c-iter", "1", "--init", "random", "--seed", "11",
+                "--threads", threads, **env)
     for name in ("rate_sweep.csv", "rate_sweep.summary.json"):
         want = (tmp_path / "blas-default" / name).read_bytes()
         for run in runs:

@@ -18,7 +18,7 @@ from em2gm.population import (
     q_pop,
     sandwich_sequences,
 )
-from oracles import f_pop_com, fg_inequality_violation
+from oracles import f_pop_com, fg_inequality_violation, fg_pop_separately
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -253,6 +253,50 @@ def test_population_runs_reject_a_negative_or_nonfinite_s(rule, s):
 def test_build_rule_orders_differ():
     assert build_rule(40).order == 40
     assert build_rule(40)._z.shape == (40,)
+
+
+def test_build_rule_builds_each_order_once():
+    assert build_rule() is build_rule(80) is build_rule(order=80)
+    assert build_rule(160) is build_rule(160) and build_rule(160) is not build_rule(80)
+
+
+def test_rule_arrays_are_read_only_copies():
+    nodes, weights = np.polynomial.hermite.hermgauss(20)
+    rule = QuadratureRule(order=20, nodes=nodes, weights=weights)
+    nodes[0] = weights[0] = 0.0  # the caller's arrays stay writable and apart
+    assert rule.nodes[0] != 0.0 and rule.weights[0] != 0.0
+    for r in (rule, build_rule()):
+        for arr in (r.nodes, r.weights, r._z, r._wz, r._lx, r._lw, r._lg):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+
+def test_shared_rule_gives_the_values_of_a_fresh_one():
+    # what the criteria print: the scalar maps, the inverse, the trajectories
+    # and the envelopes, bit for bit
+    shared, fresh = build_rule(), QuadratureRule(80, *np.polynomial.hermite.hermgauss(80))
+
+    def values(rule):
+        states = population_trajectory(PopulationState(3.0, 0.5), 1.0, 20, rule)
+        upper, lower = sandwich_sequences(0.5, 1.0, 0.05, 20, rule)
+        return (f_pop(0.7, 0.3, rule), invert_q(0.9, 1.0, rule),
+                [(st_.alpha, st_.beta) for st_ in states], upper.tobytes(), lower.tobytes())
+
+    assert values(shared) == values(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0])),
+       st.one_of(st.floats(0.0, 6.0), st.just(0.0)), st.floats(0.0, 4.0))
+def test_one_evaluation_per_state_gives_the_bits_of_two(rule, alpha, beta, s):
+    # F and G share one pair of Gaussian integrals per state, with the zero
+    # cases of the two separate evaluations, so no bit moves
+    want = fg_pop_separately(alpha, beta, s, rule)
+    got = F_pop(alpha, beta, s, rule), G_pop(alpha, beta, s, rule)
+    nxt = population_trajectory(PopulationState(alpha, beta), s, 1, rule)[1]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.array([nxt.alpha, nxt.beta]).tobytes() == np.array(
+        [want[0], max(0.0, want[1])]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

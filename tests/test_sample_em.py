@@ -24,6 +24,7 @@ from em2gm.sample_em import (
     iterate_em,
     run_em,
 )
+from oracles import blas_threads_or_skip
 
 
 def _data(s=1.0, d=2, n=500, seed=0):
@@ -320,7 +321,7 @@ def _batch_by_blocks(samples, thetas, nbytes=None, group=None):
     group = group or sample_em._GROUP
     groups = [thetas[lo:lo + group] for lo in range(0, thetas.shape[0], group)]
     block = _block(yt.shape[0], yt.dtype, groups[0].shape[0], nbytes)
-    return np.concatenate(sample_em._map_one_blas(
+    return np.concatenate(sample_em._map_in_order(
         lambda g: _f_n_by_blocks(yt, g, block=block)[0], groups, 1))
 
 
@@ -510,12 +511,12 @@ def test_em_map_batch_draws_a_stream_once(monkeypatch, k):
     # one walk at any k: a short last group of thetas (k = 5, 9 over groups
     # of 4) runs on the full groups' blocks, so the n rows are drawn once
     draw, drawn = model._draw_rows, []
-    map_one_blas, walks = sample_em._map_one_blas, []
+    map_in_order, walks = sample_em._map_in_order, []
     monkeypatch.setattr(model, "_draw_rows",
                         lambda rng, theta_star, cols: drawn.append(cols.shape[1])
                         or draw(rng, theta_star, cols))
-    monkeypatch.setattr(sample_em, "_map_one_blas",
-                        lambda *args: walks.append(1) or map_one_blas(*args))
+    monkeypatch.setattr(sample_em, "_map_in_order",
+                        lambda *args: walks.append(1) or map_in_order(*args))
     thetas = np.random.default_rng(65).normal(size=(k, 2))
     with _blocks_of(300 * 4 * 8):  # blocks of 300 rows for a group of 4
         _batch_on(2, SampleStream(ModelSpec.along_axis(1.0, 2), 3000, 65), thetas, group=4)
@@ -553,11 +554,8 @@ def test_em_map_batch_many_workers_switching_often():
             sys.setswitchinterval(interval)
 
 
-def test_em_map_batch_runs_blas_on_one_thread_and_restores_it(monkeypatch):
-    control = sample_em._blas_thread_control()
-    if control is None:
-        pytest.skip("no thread control found for numpy's BLAS")
-    get, set_ = control
+def test_em_map_batch_runs_blas_on_one_thread_and_leaves_it_so(monkeypatch):
+    get, set_ = blas_threads_or_skip()
     seen = []
 
     def kernel(*args):
@@ -573,7 +571,7 @@ def test_em_map_batch_runs_blas_on_one_thread_and_restores_it(monkeypatch):
         # groups of 48, 48, 48, 48 and 8, each over two blocks of rows, 2730
         # and 2270
         _batch_on(3, data.samples, np.ones((200, 2)))
-        assert get() == 2
+        assert get() == 1
     finally:
         set_(before)
     assert len(seen) == 10 and set(seen) == {1}
@@ -833,7 +831,7 @@ def test_openblas_routines_are_found_on_scipy_openblas():
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's BLAS is {blas.get('name')!r}")
-    assert sample_em._blas_thread_control() is not None
+    assert model._blas_thread_control() is not None
     assert model._cblas(np.dtype(np.float32)) is not None
     assert model._cblas(np.dtype(np.float64)) is not None
 
