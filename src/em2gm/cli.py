@@ -66,25 +66,33 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-# scalar option type -> (conversion, JSON/flag value types it accepts)
+# scalar option type -> (conversion, JSON/flag value types it accepts), and
+# list option type -> the scalar type of its items
 _SCALARS = {"int": (int, (int, str)), "float": (float, (int, float, str)), "str": (str, (str,))}
+_ITEMS = {"ints": "int", "floats": "float", "vec": "float"}
 
 
 def _coerce(name: str, typ: str, value):
-    """Coerce a flag string or a JSON value to the option's type."""
+    """Coerce a flag string or a JSON value to the option's type. A list
+    option takes a comma-separated string or a JSON list, and each item
+    follows the scalar rule of its item type."""
     try:
         if typ in _SCALARS:
-            convert, accepted = _SCALARS[typ]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError
-            return convert(value)
-        items = value.split(",") if isinstance(value, str) else list(value)
-        if typ == "ints":
-            return tuple(int(v) for v in items)
-        # floats and vec
-        return tuple(float(v) for v in items)
+            return _scalar(typ, value)
+        if not isinstance(value, (str, list)):
+            raise ValueError
+        items = value.split(",") if isinstance(value, str) else value
+        return tuple(_scalar(_ITEMS[typ], v) for v in items)
     except (TypeError, ValueError):
         raise CliError(f"invalid value for '{name}': {value!r} (expected {typ})") from None
+
+
+def _scalar(typ: str, value):
+    # a float is no int and a boolean no number, though Python converts them
+    convert, accepted = _SCALARS[typ]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError
+    return convert(value)
 
 
 _COMMON = {

@@ -11,8 +11,8 @@ on one thread (model._one_blas_thread), so ``threads`` sweep workers use that
 many cores and no output depends on the BLAS thread count. The cells run
 through sample_em's _map_in_order, as do the blocks of the batch map behind
 the deviation probe, which uses all cores the same way. The workers are threads:
-tanh and the direct BLAS reduction of the f_n kernel run without the GIL, as
-does its projection at d = 1, but at d >= 2 the projection of one theta is a
+tanh and the f_n kernel's reduction (model._reductions) run without the GIL,
+as does its projection at d = 1, but at d >= 2 the projection of one theta is a
 matrix-vector np.matmul, which holds the GIL, so the workers take turns on it.
 The MLE contraction probe takes a dataset and the start vector its caller
 made with make_init, and reads the truth from the dataset's spec. Nothing

@@ -7,13 +7,11 @@ global sign flip, so estimation error is always measured by
     loss(a, b) = min(|a - b|, |a + b|)
 
 in the Euclidean norm. This module owns the ground truth (ModelSpec), the
-sampler (SampleStream, and Dataset, the samples held), the loss, the average
-log-likelihood and its gradient, and the chi-square divergence to the
-standard normal. A Dataset and a SampleStream each carry the ModelSpec they
-are drawn from, so the probes take the data alone and read the truth from
-it. The likelihood, its gradient,
-the EM map and its batch form share one kernel, _kernel, so em_map = theta +
-grad holds bitwise.
+sampler (SampleStream, and Dataset, the samples held), the loss and the
+average log-likelihood. A Dataset and a SampleStream each carry the ModelSpec
+they are drawn from, so the probes take the data alone and read the truth
+from it. The likelihood, the EM map and its batch form share one kernel,
+_kernel.
 
 Samples are stored feature-major: ``Dataset.samples`` is the (n, d) transpose
 view of a read-only, C-contiguous (d, n) block, which the kernel walks in
@@ -21,19 +19,20 @@ column blocks of 512 KiB at d = 1 and 1 MiB at d >= 2 (fewer columns for a
 stack of k > d thetas, so that the inner products fit too), set up once per EM
 run: each is projected, put through tanh and reduced while it sits in L2. The
 row-major (n, d) layout measured about twice as slow at d >= 2. Each block's
-reduction is a direct ctypes call of the cblas routine that np.matmul would
-call in numpy's bundled OpenBLAS (same bits), which releases the GIL for the
-product, so sweep threads overlap their reductions; with no such library, or
-for a block of one column, where np.matmul calls no BLAS, the kernel reduces
-with np.matmul. The projection of one theta at d >= 2 is a matrix-vector
-np.matmul, which holds the GIL for its whole product, so sweep threads take
-turns on it. This module owns the one lookup of that library's routines
-(_openblas) and the one BLAS rule, _one_blas_thread: every em2gm pass computes
-with that library on one thread, set by _kernel's set-up, spectral_init,
-em_jacobian and sample_em's ordered thread map and never restored, as a
-threaded BLAS sums in an order that depends on its thread count (at d = 1 it
-splits a long block's dot) and no em2gm kernel gains from its threads. So
-once em2gm has computed, numpy's BLAS stays on one thread in that process.
+reduction has the bits of np.matmul, and for one theta it releases the GIL,
+so sweep threads overlap their reductions: at d = 1 it is np.dot of the
+block's sample row, at d >= 2 a direct ctypes call of the cblas_?gemv that
+np.matmul would call in numpy's bundled OpenBLAS. np.matmul reduces a stack
+of thetas, a block of one column, and every block where that library is not
+found. The projection of one theta at d >= 2 is a matrix-vector np.matmul,
+which holds the GIL for its whole product, so sweep threads take turns on it.
+This module owns the one lookup of that library's routines (_openblas) and
+the one BLAS rule, _one_blas_thread: every em2gm pass computes with that
+library on one thread, set by _kernel's set-up, spectral_init, em_jacobian
+and sample_em's ordered thread map and never restored, as a threaded BLAS
+sums in an order that depends on its thread count (at d = 1 it splits a long
+block's dot) and no em2gm kernel gains from its threads. So once em2gm has
+computed, numpy's BLAS stays on one thread in that process.
 There is one sampler, _draw_rows: SampleStream draws any range of rows with
 it from a generator positioned at its first row and checks them finite, so
 the batch map's workers draw their own blocks of one stream and the
@@ -66,8 +65,6 @@ __all__ = [
     "loss",
     "logcosh",
     "log_likelihood",
-    "grad_log_likelihood",
-    "chi2_to_standard",
 ]
 
 _LOG_2 = math.log(2.0)
@@ -304,11 +301,11 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
     # multiply, as numpy runs (n, 1) @ (1,) as a per-row loop ten times
     # slower. The bits agree but for the sign of a zero product at theta = 0,
     # which tanh keeps and the sum over rows drops. Per block, tanh, the
-    # reduction when it is a direct BLAS call (_reductions) and the projection
-    # at d = 1 or of a stack of thetas (np.multiply, or a matrix-matrix
-    # np.matmul) release the GIL. The projection of one theta at d >= 2 is a
-    # matrix-vector np.matmul, which holds it for the whole product, so two
-    # sweep threads take turns on it.
+    # projection at d = 1 or of a stack of thetas (np.multiply, or a
+    # matrix-matrix np.matmul) and the reduction (_reductions) release the
+    # GIL. The projection of one theta at d >= 2 is a matrix-vector
+    # np.matmul, which holds it for the whole product, so two sweep threads
+    # take turns on it.
     n, d = samples.shape
     if n == 0:
         raise ValueError("samples has no rows")
@@ -381,19 +378,17 @@ def _openblas(*names: str):
 
 
 @functools.cache
-def _cblas(dtype: np.dtype):
-    """(gemv, dot, gemm, integer, real) of numpy's OpenBLAS for float32 or
+def _gemv(dtype: np.dtype):
+    """(cblas_?gemv, integer, real) of numpy's OpenBLAS for float32 or
     float64, typed for ctypes, or None (another dtype or another BLAS)."""
     letter = {np.dtype(np.float32): "s", np.dtype(np.float64): "d"}.get(np.dtype(dtype))
-    found = letter and _openblas(*(f"cblas_{letter}{name}" for name in ("gemv", "dot", "gemm")))
+    found = letter and _openblas(f"cblas_{letter}gemv")
     if not found:
         return None
-    (gemv, dot, gemm), i = found
+    (gemv,), i = found
     x, e, p = ctypes.c_float if letter == "s" else ctypes.c_double, ctypes.c_int, ctypes.c_void_p
     gemv.argtypes, gemv.restype = (e, e, i, i, x, p, i, p, i, x, p, i), None
-    dot.argtypes, dot.restype = (i, p, i, p, i), x
-    gemm.argtypes, gemm.restype = (e, e, e, i, i, i, x, p, i, p, i, x, p, i), None
-    return gemv, dot, gemm, i, x
+    return gemv, i, x
 
 
 @functools.cache
@@ -416,61 +411,46 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
-_ROW_MAJOR, _NO_TRANS, _TRANS = ctypes.c_int(101), ctypes.c_int(111), ctypes.c_int(112)
+_ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
 
 
 def _reductions(yt: np.ndarray, block: int, buf: np.ndarray, acc: np.ndarray,
                 part: np.ndarray) -> list:
     # A call with no arguments per column block of the (d, n) samples yt that
     # writes cols @ buf[:m] into acc for the first block and into part for
-    # the others, cols the block's (d, m) columns. With numpy's OpenBLAS found
-    # and yt's rows contiguous, it is a direct call of the routine np.matmul
-    # calls for these shapes, with the same arguments (the leading dimension
-    # is yt's row stride), so the bits are the same: dot
-    # at d = 1 and one theta (or k = 1), gemv at one theta, gemv of buf
-    # transposed at d = 1, gemm otherwise. ctypes releases the GIL for it.
-    # Every argument is settled here, the block's address by offset from the
-    # first, as each .ctypes lookup costs microseconds. A block of one column
-    # is reduced by np.matmul itself: for an inner dimension of 1 numpy runs
-    # its own loop, which sums from +0 and so turns a -0 product into +0,
-    # where gemv and gemm keep the -0.
-    (d, n), k, item = yt.shape, buf.size // buf.shape[0], yt.itemsize
+    # the others, cols the block's (d, m) columns, with the bits of np.matmul.
+    # For one theta (buf of one axis), with numpy's OpenBLAS found and yt's
+    # rows contiguous, it calls the BLAS routine np.matmul would, releasing
+    # the GIL: at d = 1 through np.dot of the block's row (?dot), at d >= 2
+    # through ctypes (cblas_?gemv, with yt's row stride as the leading
+    # dimension), as np.matmul holds the GIL for a matrix-vector product and
+    # np.dot copies the strided block. The gemv arguments are settled here,
+    # each block's address by offset from the first, as each .ctypes lookup
+    # costs microseconds. np.matmul reduces the rest: a stack of thetas (a
+    # matrix-matrix product, which releases the GIL), every block without
+    # that library, and a block of one column, for which numpy runs its own
+    # loop, which sums from +0 and so turns a -0 product into +0 where BLAS
+    # keeps the -0.
+    (d, n), item = yt.shape, yt.itemsize
     rows_ok = yt.strides[1] == item and (d == 1 or yt.strides[0] >= n * item)
-    cblas = _cblas(yt.dtype) if k and rows_ok else None
-
-    def by_matmul(lo: int):
-        return functools.partial(np.matmul, yt[:, lo:lo + block], buf[:min(block, n - lo)],
-                                 out=part if lo else acc)
-
-    if cblas is None:
-        return [by_matmul(lo) for lo in range(0, n, block)]
-    gemv, dot, gemm, i, x = cblas
-    base, b = yt.ctypes.data, ctypes.c_void_p(buf.ctypes.data)
-    outs = [(out, ctypes.c_void_p(out.ctypes.data)) for out in (acc, part)]
-    one, zero, unit, lda, ldb = x(1.0), x(0.0), i(1), i(yt.strides[0] // item), i(k)
+    found = _gemv(yt.dtype) if buf.ndim == 1 and rows_ok else None
+    if found is not None and d > 1:
+        gemv, i, x = found
+        base, b = yt.ctypes.data, ctypes.c_void_p(buf.ctypes.data)
+        outs = [ctypes.c_void_p(out.ctypes.data) for out in (acc, part)]
+        one, zero, unit, lda = x(1.0), x(0.0), i(1), i(yt.strides[0] // item)
     calls = []
     for lo in range(0, n, block):
-        m, a = i(min(block, n - lo)), ctypes.c_void_p(base + lo * item)
-        out, c = outs[lo > 0]
-        if m.value == 1:
-            calls.append(by_matmul(lo))
-        elif d == 1 and k == 1:
-            calls.append(functools.partial(_store, out.reshape(1), dot, m, a, unit, b, unit))
-        elif k == 1:
-            calls.append(functools.partial(gemv, _ROW_MAJOR, _NO_TRANS, i(d), m, one, a, lda, b,
-                                           unit, zero, c, unit))
+        cols, z, out = yt[:, lo:lo + block], buf[:min(block, n - lo)], part if lo else acc
+        if found is None or z.size == 1:
+            calls.append(functools.partial(np.matmul, cols, z, out=out))
         elif d == 1:
-            calls.append(functools.partial(gemv, _ROW_MAJOR, _TRANS, m, ldb, one, b, ldb, a,
-                                           unit, zero, c, unit))
+            calls.append(functools.partial(np.dot, cols[0], z, out=out.reshape(())))
         else:
-            calls.append(functools.partial(gemm, _ROW_MAJOR, _NO_TRANS, _NO_TRANS, i(d), ldb, m,
-                                           one, a, lda, b, ldb, zero, c, ldb))
+            calls.append(functools.partial(gemv, _ROW_MAJOR, _NO_TRANS, i(d), i(z.size), one,
+                                           ctypes.c_void_p(base + lo * item), lda, b, unit,
+                                           zero, outs[lo > 0], unit))
     return calls
-
-
-def _store(into: np.ndarray, routine, *args) -> None:
-    # a routine's return value (dot's) into the one-element into
-    into[0] = routine(*args)
 
 
 def _log_likelihood_from(data: Dataset, theta: np.ndarray, logcosh_sum: float) -> float:
@@ -489,20 +469,3 @@ def log_likelihood(data: Dataset, theta) -> float:
     """
     theta = np.asarray(theta, dtype=np.float64)
     return _log_likelihood_from(data, theta, _kernel(data.samples, theta)(theta, True)[1])
-
-
-def grad_log_likelihood(data: Dataset, theta) -> np.ndarray:
-    """Gradient of the average log-likelihood: -theta + E_n[Y tanh<theta, Y>]."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return _kernel(data.samples, theta)(theta)[0] / data.n - theta
-
-
-def chi2_to_standard(theta) -> float:
-    """Chi-square divergence of the mixture from N(0, I_d): cosh(|theta|^2) - 1.
-
-    Evaluated as (expm1(r) + expm1(-r))/2 with r = |theta|^2, which is exact
-    for small centers where cosh(r) - 1 would cancel catastrophically.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    r = float(theta @ theta)
-    return 0.5 * (math.expm1(r) + math.expm1(-r)) if r < 709.0 else math.inf

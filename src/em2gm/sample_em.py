@@ -4,8 +4,8 @@ One EM step for the symmetric mixture collapses to the closed-form map
 
     f_n(theta) = (1/n) sum_i y_i tanh(<theta, y_i>),
 
-which equals theta + grad of the average log-likelihood (same kernel as
-model.grad_log_likelihood, so the identity is bitwise). _iterates is the one
+which equals theta + grad of the average log-likelihood (bitwise, for a
+gradient computed with the same kernel, model._kernel). _iterates is the one
 EM loop: it applies the stop rule and raises ValueError naming the first
 non-finite iterate. run_em records the full diagnostic trajectory over it:
 the signal/orthogonal decomposition of each iterate against the true

@@ -16,6 +16,27 @@ from em2gm import model, population
 from em2gm.rng import make_generator
 
 
+def grad_log_likelihood(data, theta) -> np.ndarray:
+    """Gradient of model.log_likelihood: -theta + E_n[Y tanh<theta, Y>].
+
+    Built on model._kernel, the kernel of the EM map, so em_map = theta +
+    grad holds bitwise.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    return model._kernel(data.samples, theta)(theta)[0] / data.n - theta
+
+
+def chi2_to_standard(theta) -> float:
+    """Chi-square divergence of the mixture from N(0, I_d): cosh(|theta|^2) - 1.
+
+    Evaluated as (expm1(r) + expm1(-r))/2 with r = |theta|^2, which is exact
+    for small centers where cosh(r) - 1 would cancel catastrophically.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    r = float(theta @ theta)
+    return 0.5 * (math.expm1(r) + math.expm1(-r)) if r < 709.0 else math.inf
+
+
 def tanh_sup_grid_search(x: float, y: float) -> float:
     """Numeric counterpart of deviation.tanh_sup_ratio over a wide theta grid.
 

@@ -162,6 +162,18 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["trajectory", "--config", str(cfg)]) == 1
     assert "malformed" in capsys.readouterr().err
+    # a value of the wrong JSON type, as a scalar and as a list item
+    for command, config, typ in [("trajectory", {"n": 1000.9}, "int"),
+                                 ("trajectory", {"n": True}, "int"),
+                                 ("rate-sweep", {"n_grid": [1000.9, 2000.2]}, "ints"),
+                                 ("rate-sweep", {"n_grid": [1000, True]}, "ints"),
+                                 ("rate-sweep", {"n_grid": 1000}, "ints"),
+                                 ("risk-compare", {"s_grid": [False, 0.3]}, "floats"),
+                                 ("risk-compare", {"s_grid": {"0.3": 1}}, "floats"),
+                                 ("trajectory", {"theta0": ["1.0", None]}, "vec")]:
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--dry-run"]) == 1
+        assert f"(expected {typ})" in capsys.readouterr().err
 
 
 def test_bad_flag_value_exits_one(capsys):

@@ -14,8 +14,6 @@ from em2gm.model import (
     Dataset,
     ModelSpec,
     SampleStream,
-    chi2_to_standard,
-    grad_log_likelihood,
     log_likelihood,
     logcosh,
     loss,
@@ -23,7 +21,7 @@ from em2gm.model import (
 )
 from em2gm.rng import derive_seed, make_generator, open_uniforms
 from em2gm.sample_em import em_map
-from oracles import sample_rows_reference
+from oracles import chi2_to_standard, grad_log_likelihood, sample_rows_reference
 
 
 def test_spec_infers_dimension_and_norm():

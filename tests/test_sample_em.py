@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from em2gm import model, sample_em
-from em2gm.model import (Dataset, ModelSpec, SampleStream, grad_log_likelihood, log_likelihood,
-                         sample_dataset)
+from em2gm.model import Dataset, ModelSpec, SampleStream, log_likelihood, sample_dataset
 from em2gm.rng import derive_seed
 from em2gm.sample_em import (
     StopReason,
@@ -24,7 +23,7 @@ from em2gm.sample_em import (
     iterate_em,
     run_em,
 )
-from oracles import blas_threads_or_skip
+from oracles import blas_threads_or_skip, grad_log_likelihood
 
 
 def _data(s=1.0, d=2, n=500, seed=0):
@@ -373,7 +372,7 @@ def test_em_map_batch_rows_match_em_map(case):
 
 def _without_direct_blas():
     # the kernel as on a numpy without the bundled OpenBLAS: np.matmul reductions
-    return mock.patch.object(model, "_cblas", lambda dtype: None)
+    return mock.patch.object(model, "_gemv", lambda dtype: None)
 
 
 _cores_cases = (_batch_cases, st.integers(2, 20), st.integers(1, 8))
@@ -788,17 +787,16 @@ def test_kernel_keeps_numpys_zero_signs_in_a_one_column_block(d, k, dtype):
         assert _f_n(yt.T, t)[0].tobytes() == _f_n_by_blocks(yt, t)[0].tobytes()
 
 
-def _counting_cblas(calls):
-    # model._cblas whose routines record their names in calls
-    cblas = model._cblas
+def _counting_gemv(calls):
+    # model._gemv whose routine records its calls in calls
+    gemv = model._gemv
 
     def counted(dtype):
-        found = cblas(dtype)
+        found = gemv(dtype)
         if found is None:
             return None
-        *routines, integer, real = found
-        return (*(lambda *a, name=name, r=r: calls.append(name) or r(*a)
-                  for name, r in zip(("gemv", "dot", "gemm"), routines)), integer, real)
+        routine, integer, real = found
+        return lambda *a: calls.append("gemv") or routine(*a), integer, real
     return counted
 
 
@@ -808,21 +806,26 @@ def _counting_cblas(calls):
                                            (2, 0, "gemv"), (2, 1, "gemv"), (2, 7, "gemm"),
                                            (10, 0, "gemv"), (10, 1, "gemv"), (10, 7, "gemm")])
 def test_kernel_makes_one_direct_blas_call_per_block(direct, dtype, d, k, routine):
-    # the routine np.matmul would call, once per block and pass, with the
-    # bytes of the np.matmul reduction; three blocks of 40 columns and a
-    # short tail of 3, at theta and at its negative
-    if direct and model._cblas(np.dtype(dtype)) is None:
+    # routine is the BLAS routine np.matmul calls for these shapes. For one
+    # theta (k = 0) each block and pass calls it once without np.matmul:
+    # np.dot at d = 1, the ctypes gemv at d >= 2; a stack of thetas, and any
+    # block without the direct gemv, goes through np.matmul. The bytes are
+    # those of the np.matmul reduction; three blocks of 40 columns and a short
+    # tail of 3, at theta and at its negative
+    if direct and model._gemv(np.dtype(dtype)) is None:
         pytest.skip("numpy's BLAS routines were not found")
     nbytes = 40 * max(d, k, 1) * np.dtype(dtype).itemsize
     yt = np.ascontiguousarray(_data(s=1.0, d=d, n=123, seed=75).samples.T, dtype=dtype)
     theta = np.random.default_rng(75).normal(size=(k, d) if k else d).astype(dtype)
     calls = []
-    cblas = _counting_cblas(calls) if direct else lambda dtype: None
-    with _blocks_of(nbytes), mock.patch.object(model, "_cblas", cblas):
+    gemv = _counting_gemv(calls) if direct else lambda dtype: None
+    dot = np.dot
+    with _blocks_of(nbytes), mock.patch.object(model, "_gemv", gemv), \
+            mock.patch.object(np, "dot", lambda *a, **kw: calls.append("dot") or dot(*a, **kw)):
         f_n = model._kernel(yt.T, theta)
         for th in (theta, -theta):
             assert (f_n(th)[0] / 123).tobytes() == _f_n_by_blocks(yt, th, nbytes)[0].tobytes()
-    assert calls == ([routine] * 8 if direct else [])
+    assert calls == ([routine] * 8 if direct and k == 0 else [])
 
 
 def test_openblas_routines_are_found_on_scipy_openblas():
@@ -832,14 +835,16 @@ def test_openblas_routines_are_found_on_scipy_openblas():
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's BLAS is {blas.get('name')!r}")
     assert model._blas_thread_control() is not None
-    assert model._cblas(np.dtype(np.float32)) is not None
-    assert model._cblas(np.dtype(np.float64)) is not None
+    assert model._gemv(np.dtype(np.float32)) is not None
+    assert model._gemv(np.dtype(np.float64)) is not None
 
 
-def test_iterate_em_on_two_threads_switching_often_matches_serial():
+@pytest.mark.parametrize("d", [1, 10])
+def test_iterate_em_on_two_threads_switching_often_matches_serial(d):
     # each run sets up its own kernel: two at once must not share its buffers
-    datas = [_data(s=0.5, d=10, n=3 * _block(10) + 777, seed=seed) for seed in (73, 74)]
-    theta0, stop = np.full(10, 0.5), StopRule(max_iters=15, rel_tol=0.0)
+    # (the np.dot reduction at d = 1, gemv at d = 10)
+    datas = [_data(s=0.5, d=d, n=3 * _block(d) + 777, seed=seed) for seed in (73, 74)]
+    theta0, stop = np.full(d, 0.5), StopRule(max_iters=15, rel_tol=0.0)
     want = [iterate_em(data.samples, theta0, stop)[0].tobytes() for data in datas]
     got = [None, None]
 
