@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -236,10 +236,11 @@ def _resolve(cmd: str, args: argparse.Namespace) -> dict:
         if value is not _UNSET:
             resolved[name] = _coerce(name, opt.typ, value)
     # 0 threads or max_iters picks the default; a deviation grid needs a
-    # direction and a radius, a sample two rows (as every sweep cell does, and
-    # the random start's radius needs log n > 0); anything less is a typo
+    # direction and a radius, a quadrature rule a node, a sample two rows (as
+    # every sweep cell does, and the random start's radius needs log n > 0);
+    # anything less is a typo
     for name, least in (("threads", 0), ("max_iters", 0), ("directions", 1), ("radii", 1),
-                        ("n", 2)):
+                        ("order", 1), ("n", 2)):
         if resolved.get(name, least) < least:
             raise CliError(f"--{name.replace('_', '-')} must be >= {least}, got {resolved[name]}")
     # the seed keys a Philox stream directly
@@ -308,7 +309,7 @@ def _cmd_rate_sweep(cfg: dict) -> _Run:
         result.to_csv(path)
         result.summary_to_json(out / "rate_sweep.summary.json")
         summary = result.summaries[0]
-        write_line_chart(out / "rate_sweep.svg", summary.n_values,
+        write_line_chart(out / "rate_sweep.svg", summary.n,
                          {"mean loss": summary.mean_loss},
                          title="mean final loss vs n", xlabel="n", ylabel="loss",
                          logx=True, logy=True)
@@ -324,15 +325,15 @@ def _cmd_risk_compare(cfg: dict) -> _Run:
     exp._check_estimators(estimators)
 
     def run(out: Path) -> str:
-        comparison = exp.risk_compare(config, estimators)
-        results = comparison.results
+        results = exp.risk_compare(config, estimators)
         for name, result in results.items():
             result.to_csv(out / f"risk_{name}.csv")
         write_json(out / "risk.summary.json",
-                   {name: [s.to_dict() for s in result.summaries]
+                   {name: [asdict(s) for s in result.summaries]
                     for name, result in results.items()})
-        losses = {name: [comparison.mean_loss(name, cfg["n"], cfg["d"], s) for s in cfg["s_grid"]]
-                  for name in estimators}
+        # one summary per s, in grid order, each of one n
+        losses = {name: [s.mean_loss[0] for s in result.summaries]
+                  for name, result in results.items()}
         write_line_chart(out / "risk.svg", cfg["s_grid"], losses,
                          title="mean loss vs s", xlabel="s", ylabel="loss")
         stats = " ".join(f"{name}={_fmt(np.mean(losses[name]))}" for name in estimators)

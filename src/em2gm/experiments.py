@@ -14,18 +14,23 @@ the deviation probe, which uses all cores the same way. The workers are threads:
 tanh and the f_n kernel's reduction (model._reductions) run without the GIL,
 as does its projection at d = 1, but at d >= 2 the projection of one theta is a
 matrix-vector np.matmul, which holds the GIL, so the workers take turns on it.
-The MLE contraction probe takes a dataset and the start vector its caller
-made with make_init, and reads the truth from the dataset's spec. Nothing
-here writes a file: the results carry their CSV and JSON writers, which the
-CLI calls. The _check_* validators hold the checks that need no data, so
-the CLI runs them before it computes anything.
+A sweep returns its results: rate_sweep one ExperimentResult, risk_compare
+one per estimator by name. A result's rows are its CSV, and its summaries,
+one SlopeSummary per (d, s) in grid order, carry every aggregate: the JSON
+summary is each one's dataclasses.asdict, so a new aggregate is one field.
+No grid repeats an (n, d, s) cell, so a summary's mean at each n pools the
+rows of one cell. The MLE contraction probe takes a dataset and the start
+vector its caller made with make_init, and reads the truth from the
+dataset's spec. Nothing here writes a file: the results carry their CSV and
+JSON writers, which the CLI calls. The _check_* validators hold the checks
+that need no data, so the CLI runs them before it computes anything.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +49,6 @@ __all__ = [
     "SlopeSummary",
     "fit_loglog_slope",
     "rate_sweep",
-    "RiskComparison",
     "risk_compare",
     "ContractionProbe",
     "mle_contraction_probe",
@@ -70,26 +74,16 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class SlopeSummary:
-    """Per-(d, s) aggregate: losses by n and the fitted log-log slope."""
+    """Per-(d, s) aggregate: losses by n and the fitted log-log slope. The
+    JSON summary is its fields in this order (dataclasses.asdict)."""
 
     d: int
     s: float
-    n_values: tuple[int, ...]
+    n: tuple[int, ...]
     mean_loss: tuple[float, ...]
     median_loss: tuple[float, ...]
     slope: float | None
     slope_stderr: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "s": self.s,
-            "n": list(self.n_values),
-            "mean_loss": list(self.mean_loss),
-            "median_loss": list(self.median_loss),
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-        }
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,16 @@ class ExperimentConfig:
         grid = tuple((int(n), int(d), float(s)) for n, d, s in self.grid)
         if not grid:
             raise ValueError("grid must be non-empty")
-        for n, d, s in grid:
+        for i, (n, d, s) in enumerate(grid):
             if n < 2:
                 raise ValueError("all n must be >= 2")
             if d < 1:
                 raise ValueError("all d must be >= 1")
             if not (math.isfinite(s) and s >= 0.0):
                 raise ValueError("all s must be finite and nonnegative")
+            # a summary pools the rows of one (n, d, s)
+            if (n, d, s) in grid[:i]:
+                raise ValueError(f"grid repeats the cell (n={n}, d={d}, s={s})")
         object.__setattr__(self, "grid", grid)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
@@ -164,7 +161,7 @@ class ExperimentResult:
         write_table(path, Row._fields, *zip(*self.rows))
 
     def summary_to_json(self, path) -> None:
-        write_json(path, [s.to_dict() for s in self.summaries])
+        write_json(path, [asdict(s) for s in self.summaries])
 
 
 def fit_loglog_slope(x, y) -> tuple[float | None, float | None]:
@@ -205,7 +202,7 @@ def _summarize(rows: list[Row]) -> tuple[SlopeSummary, ...]:
         means = [float(np.mean(by_n[n])) for n in ns]
         medians = [float(np.median(by_n[n])) for n in ns]
         slope, stderr = fit_loglog_slope(ns, means)
-        out.append(SlopeSummary(d=d, s=s, n_values=tuple(ns), mean_loss=tuple(means),
+        out.append(SlopeSummary(d=d, s=s, n=tuple(ns), mean_loss=tuple(means),
                                 median_loss=tuple(medians), slope=slope, slope_stderr=stderr))
     return tuple(out)
 
@@ -270,28 +267,16 @@ def rate_sweep(config: ExperimentConfig) -> ExperimentResult:
     return _sweep(config, ("em",))["em"]
 
 
-@dataclass(frozen=True)
-class RiskComparison:
-    """Per-estimator results on a shared grid and shared datasets."""
-
-    results: dict[str, ExperimentResult]
-
-    def mean_loss(self, estimator: str, n: int, d: int, s: float) -> float:
-        vals = [r.final_loss for r in self.results[estimator].rows
-                if (r.n, r.d) == (n, d) and math.isclose(r.s, s)]
-        if not vals:
-            raise KeyError(f"no rows for {estimator} at (n={n}, d={d}, s={s})")
-        return float(np.mean(vals))
-
-
-def risk_compare(config: ExperimentConfig, estimators=("em", "spectral", "zero")) -> RiskComparison:
-    """Monte Carlo risk of each estimator on identical datasets (see _ESTIMATORS).
+def risk_compare(config: ExperimentConfig,
+                 estimators=("em", "spectral", "zero")) -> dict[str, ExperimentResult]:
+    """Monte Carlo risk of each estimator on identical datasets (see _ESTIMATORS):
+    the result of each estimator by name, in the order given.
 
     The CLI writes one row CSV per estimator and one combined summary JSON.
     """
     estimators = tuple(estimators)
     _check_estimators(estimators)
-    return RiskComparison(results=_sweep(config, estimators))
+    return _sweep(config, estimators)
 
 
 @dataclass(frozen=True)

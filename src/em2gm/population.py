@@ -108,6 +108,8 @@ class QuadratureRule:
 def build_rule(order: int = 80) -> QuadratureRule:
     """Quadrature rule of the given Gauss-Hermite order (default 80), built
     once per order and shared: the same order gives the same object."""
+    if order < 1:  # before hermgauss, whose own message does not name the order
+        raise ValueError(f"order must be >= 1, got {order}")
     return _rule(order)
 
 

@@ -19,9 +19,9 @@ from em2gm.deviation import (default_probe_grid, population_map_ddim,
                              w1_squared_empirical)
 from em2gm.experiments import (ExperimentConfig, fit_loglog_slope,
                                figure2_reproduction, mle_contraction_probe,
-                               rate_sweep, sublinear_rate_probe)
-from em2gm.initializers import InitSpec, make_init, spectral_init
-from em2gm.model import ModelSpec, log_likelihood, loss, sample_dataset
+                               rate_sweep, risk_compare, sublinear_rate_probe)
+from em2gm.initializers import InitSpec, make_init
+from em2gm.model import ModelSpec, log_likelihood, sample_dataset
 from em2gm.population import F_pop, G_pop, f_pop, invert_q, q_pop, sandwich_sequences
 from em2gm.rng import derive_seed
 from em2gm.sample_em import StopRule, em_map, em_map_batch, run_em
@@ -298,16 +298,12 @@ def test_criterion_15_tanh_supremum_closed_form():
 
 
 def test_criterion_16_spectral_risk_ordering():
-    means = {}
-    for gi, s in enumerate((0.3, 1.0)):
-        spec = ModelSpec.along_axis(s, 10)
-        losses = [
-            loss(spectral_init(sample_dataset(spec, 100_000,
-                                              derive_seed(1616, gi, k, 0))),
-                 spec.theta_star)
-            for k in range(100)
-        ]
-        means[s] = float(np.mean(losses))
+    # the spectral estimator alone (the start is unused) on datasets from derive_seed(1616, gi, k, 0)
+    config = ExperimentConfig.from_product(
+        [100_000], [10], [0.3, 1.0], replicates=100, init=InitSpec(kind="zero"),
+        master_seed=1616, threads=_CORES)
+    summaries = risk_compare(config, ("spectral",))["spectral"].summaries
+    means = {summary.s: summary.mean_loss[0] for summary in summaries}
     ok = means[1.0] < means[0.3] < 0.3
     _report(16, "spectral start risk ordering in signal strength", ok,
             f"mean loss s=1.0: {means[1.0]:.4f} < s=0.3: {means[0.3]:.4f} < 0.3")

@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from em2gm.cli import main
@@ -98,7 +99,7 @@ _INVALID = [
     (["sublinear", "--iters", "50"], "T must exceed 100"),
     (["population", "--iters", "0"], "T must be >= 1"),
     (["population", "--beta0", "-1"], "beta must be nonnegative"),
-    (["figure2", "--order", "0"], "deg must be a positive integer"),
+    (["figure2", "--order", "0"], "--order must be >= 1, got 0"),
     (["sandwich", "--iters", "0"], "T must be >= 1"),
     (["risk-compare", "--estimators", "em,bogus"], "unknown estimator 'bogus'"),
     (["risk-compare", "--replicates", "0"], "replicates must be >= 1"),
@@ -114,6 +115,10 @@ _INVALID = [
     (["trajectory", "--init", "fixed", "--theta0", "nan"], "fixed_value must be finite"),
     (["mle-probe", "--burn-in", "0"], "burn_in and extra must be >= 1"),
     (["mle-probe", "--n", "1"], "--n must be >= 2, got 1"),
+    # a summary pools the rows of one cell, so no cell may repeat
+    (["rate-sweep", "--n-grid", "1000,1000", "--replicates", "2", "--threads", "1"],
+     "grid repeats the cell (n=1000, d=1, s=0.0)"),
+    (["risk-compare", "--s-grid", "0.3,0.3"], "grid repeats the cell (n=100000, d=10, s=0.3)"),
 ]
 
 
@@ -207,6 +212,21 @@ def test_empty_deviation_grid_exits_one_naming_the_option(tmp_path, capsys, flag
     cfg.write_text(json.dumps({flag[2:]: value}))
     assert main(["deviation", "--config", str(cfg), "--dry-run"]) == 1
     assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["population", "sandwich", "deviation", "figure2",
+                                     "sublinear"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_quadrature_order_below_one_exits_one_naming_the_option(tmp_path, capsys, command,
+                                                                value):
+    out = tmp_path / "out"
+    assert main([command, *_TINY[command], "--order", str(value), "--out", str(out)]) == 1
+    assert f"--order must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": value}))
+    assert main([command, "--config", str(cfg), "--dry-run"]) == 1
+    assert f"--order must be >= 1, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(set(_TINY) - {"rate-sweep", "risk-compare"}))
@@ -394,16 +414,26 @@ def test_float32_rate_sweep_at_default_rel_tol_exits_one(tmp_path, capsys):
 
 
 def test_risk_compare_command(tmp_path, capsys):
-    code = main(["risk-compare", "--d", "2", "--n", "400", "--s-grid", "0.5,1.0",
+    code = main(["risk-compare", "--d", "2", "--n", "400", "--s-grid", "1.0,0.5",
                  "--replicates", "2", "--estimators", "spectral,zero",
                  "--out", str(tmp_path)])
     assert code == 0
-    assert "mean_loss" in capsys.readouterr().out
+    printed = capsys.readouterr().out
     assert (tmp_path / "risk_spectral.csv").exists()
     assert (tmp_path / "risk_zero.csv").exists()
     assert not (tmp_path / "risk_em.csv").exists()
     summary = json.loads((tmp_path / "risk.summary.json").read_text())
     assert list(summary) == ["spectral", "zero"]
+    # one summary per s in grid order; the printed means average their means
+    for name, entries in summary.items():
+        assert [e["s"] for e in entries] == [1.0, 0.5]
+        for e in entries:
+            assert list(e) == ["d", "s", "n", "mean_loss", "median_loss", "slope",
+                               "slope_stderr"]
+            assert e["n"] == [400]
+        assert f" {name}={float(np.mean([e['mean_loss'][0] for e in entries])):.17g}" in printed
+    assert printed.startswith("mean_loss[spectral first] spectral=")
+    assert " zero=0.75 -> " in printed
 
 
 def test_risk_compare_honors_max_iters(tmp_path):

@@ -96,6 +96,23 @@ def test_config_rejects_float32_rel_tol_below_eps():
     assert ExperimentConfig(**{**kw, "dtype": "float64"}, rel_tol=1e-8).rel_tol == 1e-8
 
 
+def test_config_rejects_a_repeated_cell():
+    # a summary pools the rows of one cell, so a repeated cell would pool two
+    init = InitSpec(kind="zero")
+    with pytest.raises(ValueError, match=r"grid repeats the cell \(n=1000, d=1, s=0.0\)"):
+        ExperimentConfig.from_product([1000, 1000], [1], [0.0], replicates=2, init=init,
+                                      master_seed=0)
+    with pytest.raises(ValueError, match=r"grid repeats the cell \(n=10, d=3, s=0.3\)"):
+        ExperimentConfig.from_product([10], [3], [0.3, 1.0, 0.3], replicates=1, init=init,
+                                      master_seed=0)
+    # the same n at another d or s is another cell; 0 and -0 are one s
+    assert len(ExperimentConfig(grid=((10, 1, 0.3), (10, 2, 0.3), (10, 1, 1.0)), replicates=1,
+                                init=init, master_seed=0).grid) == 3
+    with pytest.raises(ValueError, match="grid repeats the cell"):
+        ExperimentConfig(grid=((10, 1, 0.0), (10, 1, -0.0)), replicates=1, init=init,
+                         master_seed=0)
+
+
 def test_config_grid_ordering_and_stop():
     cfg = ExperimentConfig.from_product([10, 20], [1, 2], [0.5, 1.0], replicates=1,
                                         init=InitSpec(kind="zero"), master_seed=0,
@@ -172,10 +189,10 @@ def test_rate_sweep_deterministic_across_thread_counts(tmp_path):
 def test_rate_sweep_is_the_em_result_of_risk_compare():
     cfg = _config(init=InitSpec(kind="random_sphere"), threads=2)
     sweep = rate_sweep(cfg)
-    em = risk_compare(cfg, ("em",)).results["em"]
+    em = risk_compare(cfg, ("em",))["em"]
     assert sweep.rows == em.rows and sweep.summaries == em.summaries
     # the em rows do not depend on the other estimators scored beside them
-    assert risk_compare(cfg).results["em"].rows == em.rows
+    assert risk_compare(cfg)["em"].rows == em.rows
 
 
 def test_risk_compare_deterministic_across_thread_counts(tmp_path):
@@ -185,11 +202,11 @@ def test_risk_compare_deterministic_across_thread_counts(tmp_path):
             [300, 1000], [3], [0.3, 1.0], replicates=2, init=InitSpec(kind="random_sphere"),
             master_seed=5, threads=threads)
         runs[threads] = risk_compare(cfg)
-        for est, result in runs[threads].results.items():
+        for est, result in runs[threads].items():
             result.to_csv(tmp_path / f"t{threads}_{est}.csv")
             result.summary_to_json(tmp_path / f"t{threads}_{est}.summary.json")
     for est in ("em", "spectral", "zero"):
-        assert runs[1].results[est].rows == runs[2].results[est].rows
+        assert runs[1][est].rows == runs[2][est].rows
         for suffix in (".csv", ".summary.json"):
             want = (tmp_path / f"t1_{est}{suffix}").read_bytes()
             assert (tmp_path / f"t2_{est}{suffix}").read_bytes() == want
@@ -277,23 +294,32 @@ def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert (tmp_path / run / name).read_bytes() == want, (run, name)
 
 
-def test_risk_compare_estimators():
+def test_risk_compare_estimators(tmp_path):
+    s_grid = (1.0, 0.3, 0.0)  # not sorted: the summaries keep the grid's order
     cfg = ExperimentConfig.from_product(
-        [500], [3], [1.0], replicates=5, init=InitSpec(kind="random_sphere"),
+        [500], [3], s_grid, replicates=5, init=InitSpec(kind="random_sphere"),
         master_seed=7)
-    comparison = risk_compare(cfg)
-    assert list(comparison.results) == ["em", "spectral", "zero"]
-    for est in ("em", "spectral", "zero"):
-        assert len(comparison.results[est].rows) == 5
-    for row in comparison.results["zero"].rows:
-        assert row.final_loss == 1.0  # the zero estimator misses by exactly s
+    results = risk_compare(cfg)
+    assert list(results) == ["em", "spectral", "zero"]
+    for est, result in results.items():
+        assert len(result.rows) == 5 * len(s_grid)
+        # one summary per s, in grid order, whose mean has the bits of np.mean
+        # over that cell's rows in row order
+        assert [(sm.d, sm.s, sm.n) for sm in result.summaries] == [(3, s, (500,)) for s in s_grid]
+        for sm in result.summaries:
+            cell = [r.final_loss for r in result.rows if r.s == sm.s]
+            assert len(cell) == 5
+            assert sm.mean_loss == (float(np.mean(cell)),)
+        result.summary_to_json(tmp_path / f"{est}.json")
+        for entry in json.loads((tmp_path / f"{est}.json").read_text()):
+            assert list(entry) == ["d", "s", "n", "mean_loss", "median_loss", "slope",
+                                   "slope_stderr"]
+    for row in results["zero"].rows:
+        assert row.final_loss == row.s  # the zero estimator misses by exactly s
         assert row.iters == 0
-    for row in comparison.results["spectral"].rows:
+    for row in results["spectral"].rows:
         assert row.iters == 0
-    assert comparison.mean_loss("zero", 500, 3, 1.0) == 1.0
-    em_rows = comparison.results["em"].rows
-    assert comparison.mean_loss("em", 500, 3, 1.0) == pytest.approx(
-        float(np.mean([r.final_loss for r in em_rows])))
+    assert [sm.mean_loss for sm in results["zero"].summaries] == [(s,) for s in s_grid]
 
 
 def test_risk_compare_rejects_unknown_estimator(tmp_path):
@@ -306,8 +332,6 @@ def test_risk_compare_rejects_unknown_estimator(tmp_path):
         risk_compare(cfg, estimators=())
     with pytest.raises(ValueError, match="duplicate"):
         risk_compare(cfg, estimators=("zero", "zero"))
-    with pytest.raises(KeyError):
-        risk_compare(cfg, estimators=("zero",)).mean_loss("zero", 999, 1, 1.0)
 
 
 def test_mle_probe_contracts_at_strong_signal():

@@ -58,6 +58,10 @@ def test_rule_weights_sum_to_sqrt_pi(rule, rule160):
 def test_rule_rejects_bad_order():
     with pytest.raises(ValueError):
         QuadratureRule(order=0, nodes=np.zeros(1), weights=np.ones(1))
+    # build_rule names the order before hermgauss sees it
+    for order in (0, -3):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {order}"):
+            build_rule(order)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.35, 1.0, 3.0, 10.0])
