@@ -92,9 +92,12 @@ class ExperimentConfig:
 
     Each cell stops by StopRule.for_n: after max_iters steps, or when it is
     0 (the default) after ceil(c_iter sqrt(n)), or earlier by rel_tol.
-    ``dtype`` selects the inner-loop precision of iterate_em;
-    float32 is the documented fast path for the large worst-case sweeps,
-    where the iteration noise sits far below the statistical error.
+    ``dtype`` is the precision in which each cell's dataset is held and
+    iterated: a float32 cell samples straight into float32 (the float64
+    samples rounded) and holds no float64 copy, and its estimators, spectral
+    start and log-likelihood read those samples. float32 is the documented
+    fast path for the large worst-case sweeps, where the iteration noise
+    sits far below the statistical error.
     ``threads`` is the number of sweep workers; each runs BLAS on one
     thread, so the sweep uses that many cores.
     """
@@ -239,7 +242,8 @@ def _em_cell(config: ExperimentConfig, gi: int, k: int, estimators) -> tuple[Row
     """One replicate of one grid cell: a Row per estimator, all on one dataset."""
     n, d, s = config.grid[gi]
     spec = ModelSpec.along_axis(s, d)
-    data = sample_dataset(spec, n, derive_seed(config.master_seed, gi, k, _STREAM_DATA))
+    data = sample_dataset(spec, n, derive_seed(config.master_seed, gi, k, _STREAM_DATA),
+                          config.np_dtype)
     rows = []
     for name in estimators:
         theta, iters = _ESTIMATORS[name](data, config, gi, k)

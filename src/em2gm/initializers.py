@@ -88,11 +88,12 @@ def spectral_init(data: Dataset) -> np.ndarray:
     arbitrarily. The clamp at lambda <= 1 returns the zero vector: the
     mixture adds s^2 to the top eigenvalue of the identity, so nothing above
     1 means no detectable signal. Sign of the output is arbitrary, as is the
-    parameter's.
+    parameter's. The Gram matrix S^T S is formed in the samples' dtype, and
+    Sigma and its eigenpair in float64.
     """
     S = data.samples
     _one_blas_thread()
-    evals, evecs = np.linalg.eigh(S.T @ S / data.n)
+    evals, evecs = np.linalg.eigh(np.asarray(S.T @ S, dtype=np.float64) / data.n)
     lam = float(evals[-1])
     if lam <= 1.0:
         return np.zeros(data.d)

@@ -39,10 +39,13 @@ the batch map's workers draw their own blocks of one stream and the
 deviation probe never holds all n rows. _draw_rows draws at most
 _DRAW_BYTES (128 KiB) of uniforms at a time, a working set of its own apart
 from the kernel's blocks, so sample_dataset fills the (d, n) block with one
-call and a stream's read of a large block is bounded too. Dataset checks the
-block and sums its squared row norms one leaf of at most _DRAW_BYTES of rows
-at a time (same bits as one pass), so sampling holds the block and a few
-times _DRAW_BYTES more at its peak.
+call and a stream's read of a large block is bounded too. It computes each
+chunk in float64 and rounds it into a float32 block, so a float32 Dataset,
+which a float32 sweep cell samples, holds the float64 samples rounded and no
+float64 copy of them. Dataset holds float32 or float64 samples only, checks
+the block and sums its squared row norms in float64, one leaf of at most
+_DRAW_BYTES of rows at a time (same bits as one pass), so sampling holds the
+block and a few times _DRAW_BYTES more at its peak.
 """
 
 from __future__ import annotations
@@ -128,10 +131,12 @@ class Dataset:
     ``samples`` has shape (n, d) but is stored feature-major: it is the
     transpose view of a read-only, C-contiguous (d, n) array, so
     ``samples.T`` is what the EM kernel streams (see the module docstring).
-    Samples given in any other layout, or writable, are copied once into this
-    form. ``mean_sq_norm`` is the constant (1/n) sum_i |y_i|^2 of the
-    log-likelihood, computed once here; the instance may be shared across
-    sweep threads, and nothing about it changes after construction.
+    Its dtype is float32 or float64, which the kernel computes in; any other
+    raises ValueError. Samples given in any other layout, or writable, are
+    copied once into this form. ``mean_sq_norm`` is the constant
+    (1/n) sum_i |y_i|^2 of the log-likelihood, computed once here in
+    float64; the instance may be shared across sweep threads, and nothing
+    about it changes after construction.
 
     One pass over leaves of rows, each at most _DRAW_BYTES of samples (and
     at least 128 rows), rejects non-finite samples and sums the squared row
@@ -139,7 +144,8 @@ class Dataset:
     O(n d). Ranges of more rows than a leaf split in half, less the half's
     remainder mod 8: that is where numpy's pairwise summation splits, so
     ``mean_sq_norm`` equals ``np.mean(np.einsum("ij,ij->i", samples,
-    samples))`` bit for bit, and so does every log-likelihood built on it.
+    samples, dtype=np.float64))`` bit for bit (for float64 samples the dtype
+    changes no bit), and so does every log-likelihood built on it.
     """
 
     samples: np.ndarray
@@ -151,6 +157,8 @@ class Dataset:
             raise ValueError("samples must be a nonempty n x d matrix")
         if self.samples.shape[1] != self.spec.d:
             raise ValueError("sample dimension does not match spec.d")
+        if self.samples.dtype not in (np.float32, np.float64):
+            raise ValueError(f"samples must be float32 or float64, got {self.samples.dtype}")
         y = self.samples
         if y.flags.writeable or not y.T.flags.c_contiguous:
             yt = np.array(y.T, order="C")
@@ -180,20 +188,22 @@ def _sum_sq_norms(rows: np.ndarray, leaf: int):
         return _sum_sq_norms(rows[:h], leaf) + _sum_sq_norms(rows[h:], leaf)
     if not np.isfinite(rows).all():
         raise ValueError("samples must be finite")
-    return np.add.reduce(np.einsum("ij,ij->i", rows, rows))
+    return np.add.reduce(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
 
 
-def sample_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
+def sample_dataset(spec: ModelSpec, n: int, seed: int, dtype=np.float64) -> Dataset:
     """Draw n iid samples from the mixture, deterministically in ``seed``.
 
     The rows are those of SampleStream(spec, n, seed), drawn by the same
     _draw_rows, _DRAW_BYTES of uniforms at a time, straight into their
-    columns of the feature-major (d, n) block, so peak memory is the block
-    plus one chunk of uniforms. Dataset checks them finite.
+    columns of the feature-major (d, n) block of ``dtype`` (float64 or
+    float32), so peak memory is the block plus one chunk of uniforms.
+    float32 samples are the float64 ones rounded, bit for bit. Dataset
+    checks them finite.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    yt = np.empty((spec.d, n))
+    yt = np.empty((spec.d, n), dtype)
     _draw_rows(make_generator(seed), spec.theta_star, yt)
     yt.setflags(write=False)
     return Dataset(samples=yt.T, spec=spec)
@@ -249,18 +259,23 @@ def _draw_rows(rng: np.random.Generator, theta_star: np.ndarray, cols: np.ndarra
     # The next cols.shape[1] rows of the stream into the (d, m) column slice
     # cols, in chunks of at most _DRAW_BYTES of uniforms (one row at least);
     # consecutive draws continue the stream, so any chunking gives the bytes
-    # of one draw. Each chunk's uniforms and signs are freed before the next.
+    # of one draw. Each chunk is computed in float64 and, for float32 cols,
+    # rounded into them once complete. Each chunk's uniforms, signs and
+    # float64 rows are freed before the next.
     d, m = cols.shape
     chunk = max(1, _DRAW_BYTES // ((d + 1) * 8))
     nonzero = np.flatnonzero(theta_star)  # no normal is -0: skipping zeros keeps the bits
     for lo in range(0, m, chunk):
         part = cols[:, lo:lo + chunk]
         u = open_uniforms(rng, (part.shape[1], d + 1))
-        ndtri(u[:, 1:].T, out=part)
+        rows = part if part.dtype == np.float64 else np.empty(part.shape)
+        ndtri(u[:, 1:].T, out=rows)
         if nonzero.size:
             signs = np.where(u[:, 0] < 0.5, 1.0, -1.0)
             for j in nonzero:
-                part[j] += theta_star[j] * signs
+                rows[j] += theta_star[j] * signs
+        if rows is not part:
+            part[...] = rows
 
 
 def loss(theta_hat, theta) -> float:
@@ -466,6 +481,10 @@ def log_likelihood(data: Dataset, theta) -> float:
     with phi_d the standard normal density, so the per-sample term is
 
         -|y|^2/2 - (d/2) log(2 pi) - |theta|^2/2 + logcosh(<theta, y>).
+
+    The logcosh terms are computed in the samples' dtype, at theta rounded to
+    it; |theta|^2 and the sums over the blocks are float64.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    return _log_likelihood_from(data, theta, _kernel(data.samples, theta)(theta, True)[1])
+    t = theta.astype(data.samples.dtype)
+    return _log_likelihood_from(data, theta, _kernel(data.samples, t)(t, True)[1])

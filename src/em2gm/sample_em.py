@@ -300,8 +300,11 @@ def iterate_em(samples: np.ndarray, theta0, stop: StopRule,
     The step count is the first t at which the relative-change rule fired,
     or max_iters if it never did. float32 halves memory traffic for the
     tanh/matmul inner loop; the returned iterate is cast back to float64.
-    The iterates are those of _iterates, so float64 ones agree bitwise with
-    run_em's; a non-finite one raises ValueError naming its step.
+    Samples of another dtype are copied to ``dtype`` once per run, so a
+    sweep passes a Dataset held in ``dtype`` (sample_dataset's dtype), which
+    is used as stored. The iterates are those of _iterates, so float64 ones
+    agree bitwise with run_em's; a non-finite one raises ValueError naming
+    its step.
     """
     for t, (theta, _) in enumerate(_iterates(samples, theta0, stop, dtype)):
         pass
@@ -314,7 +317,8 @@ def _iterates(samples: np.ndarray, theta0, stop: StopRule, dtype=np.float64,
     # t = 0, 1, ... up to the step at which the relative-change rule fires or
     # max_iters; a non-finite iterate raises ValueError naming its step. The
     # samples are used as the contiguous (d, n) block S.T, which for a
-    # Dataset's float64 samples is the stored block; others are copied once.
+    # Dataset's samples in ``dtype`` is the stored block; others are copied
+    # once.
     # model._kernel is set up once, and each pass at theta_t gives its sum and
     # theta_{t+1}: T passes for T steps, or T + 1 with the sums, whose last
     # pass is at the last iterate. The iterates do not depend on with_logcosh.

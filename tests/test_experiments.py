@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +20,7 @@ from em2gm.experiments import (
     sublinear_rate_probe,
 )
 from em2gm.initializers import InitSpec, make_init
-from em2gm.model import Dataset, ModelSpec, loss, sample_dataset
+from em2gm.model import Dataset, ModelSpec, log_likelihood, loss, sample_dataset
 from em2gm.rng import derive_seed
 from em2gm.sample_em import iterate_em
 from oracles import blas_threads_or_skip, run_cli
@@ -164,6 +165,49 @@ def test_rate_sweep_rows_are_reconstructible():
     row = [r for r in result.rows if (r.n, r.replicate) == (n, k)][0]
     assert row.final_loss == loss(theta, spec.theta_star)
     assert row.iters == iters
+
+
+def test_float32_rows_are_the_float64_datasets_iterated_in_float32():
+    # a float32 cell samples straight into float32; its iterates are those of
+    # iterate_em(dtype=float32) on the float64 samples, which rounds them to
+    # the same float32 block, and its log-likelihood is the float32 dataset's
+    cfg = ExperimentConfig.from_product(
+        [100, 1489, 9000], [1, 3], [0.0, 1.0], replicates=2, init=InitSpec(kind="random_sphere"),
+        master_seed=2424, rel_tol=1e-6, dtype="float32", threads=2)
+    rows = rate_sweep(cfg).rows
+    for row in rows:
+        gi = cfg.grid.index((row.n, row.d, row.s))
+        spec = ModelSpec.along_axis(row.s, row.d)
+        seed = derive_seed(cfg.master_seed, gi, row.replicate, 0)
+        data = sample_dataset(spec, row.n, seed)
+        theta0 = make_init(cfg.init, data, seed=derive_seed(cfg.master_seed, gi, row.replicate, 1))
+        theta, iters = iterate_em(data.samples, theta0, cfg.stop_for(row.n), dtype=np.float32)
+        assert (row.final_loss, row.iters) == (loss(theta, spec.theta_star), iters), row
+        low = sample_dataset(spec, row.n, seed, np.float32)
+        assert row.final_loglik == log_likelihood(low, theta), row
+    assert any(row.iters < cfg.stop_for(row.n).max_iters for row in rows)
+
+
+def test_float32_cell_holds_no_float64_copy_of_its_samples():
+    # One float32 cell at d = 1, n = 2e6 (two steps). tracemalloc peaked at
+    # 10.1 MB: the 8 MB float32 block and the kernel's and the sampler's
+    # blocks. Sampling in float64 and copying to float32 held 24.5 MB, the
+    # 16 MB float64 block and its 8 MB copy; the bound, the size of the
+    # float64 block, sits 5.9 MB above the first and 8.5 MB below the second.
+    def cell(n, seed):
+        return ExperimentConfig.from_product(
+            [n], [1], [0.0], replicates=1, init=InitSpec(kind="fixed", fixed_value=(1.0,)),
+            master_seed=seed, max_iters=2, rel_tol=0.0, dtype="float32", threads=1)
+
+    n = 2_000_000
+    rate_sweep(cell(1000, 1))
+    tracemalloc.start()
+    try:
+        rate_sweep(cell(n, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8, peak / 1e6
 
 
 def test_rate_sweep_deterministic_across_thread_counts(tmp_path):

@@ -138,6 +138,28 @@ def test_sample_dataset_is_the_one_shot_recipe_across_chunks(spec, rows, chunks,
     assert got.samples.T.tobytes() == sample_rows_reference(spec, n, seed).T.tobytes()
 
 
+# rows per chunk of _draw_rows: 8192 at d = 1, 1489 at d = 10
+@pytest.mark.parametrize("d, chunk", [(1, 8192), (10, 1489)])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_float32_samples_are_the_float64_ones_rounded(d, chunk, s):
+    spec = ModelSpec.along_axis(s, d)
+    assert model._DRAW_BYTES // ((d + 1) * 8) == chunk
+    for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        got = sample_dataset(spec, n, 31 + n, np.float32)
+        assert got.samples.dtype == np.float32 and got.samples.T.flags.c_contiguous
+        want = sample_dataset(spec, n, 31 + n).samples.astype(np.float32)
+        assert got.samples.tobytes() == want.tobytes(), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3000), st.sampled_from([0.0, 1.0, 2.5]),
+       st.integers(0, 2**64 - 1))
+def test_float32_dataset_rounds_each_sample_of_the_float64_one(d, n, s, seed):
+    spec = ModelSpec.along_axis(s, d)
+    got = sample_dataset(spec, n, seed, np.float32).samples
+    assert got.tobytes() == sample_dataset(spec, n, seed).samples.astype(np.float32).tobytes()
+
+
 @pytest.mark.parametrize("d, s", [(1, 0.0), (2, 1.0), (10, 0.3)])
 def test_sample_dataset_peak_memory_is_the_block_and_one_chunk(d, s):
     # the (d, n) block and 4 * _DRAW_BYTES (512 KiB) for one chunk of
@@ -199,17 +221,18 @@ def test_squared_norm_term_is_the_row_major_expression(d):
 @st.composite
 def _layouts(draw):
     # (samples, the leaf bytes to patch in): a sampled (d, n) block, or rows
-    # in a layout that Dataset copies, over n from 1 to several leaves; leaf
-    # bytes below 128 rows exercise the 128-row floor
+    # in a layout that Dataset copies, in float64 or float32, over n from 1
+    # to several leaves; leaf bytes below 128 rows exercise the 128-row floor
     d = draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
     nbytes = draw(st.integers(8, 400 * d * 8))
-    n = draw(st.integers(1, 6 * max(128, nbytes // (d * 8))))
+    n = draw(st.integers(1, 6 * max(128, nbytes // (d * np.dtype(dtype).itemsize))))
     seed = draw(st.integers(0, 2**32 - 1))
     kind = draw(st.sampled_from(["sampled", "c_rows", "f_rows", "strided", "read_only_rows"]))
     if kind == "sampled":
         with mock.patch.object(model, "_DRAW_BYTES", nbytes):
-            return sample_dataset(ModelSpec.along_axis(0.8, d), n, seed).samples, nbytes
-    rows = 3.0 * np.random.default_rng(seed).standard_normal((2 * n, d))
+            return sample_dataset(ModelSpec.along_axis(0.8, d), n, seed, dtype).samples, nbytes
+    rows = (3.0 * np.random.default_rng(seed).standard_normal((2 * n, d))).astype(dtype)
     if kind == "c_rows":
         rows = rows[:n].copy()
     elif kind == "f_rows":
@@ -230,8 +253,11 @@ def test_mean_sq_norm_is_the_one_shot_expression_bitwise(layout):
     with mock.patch.object(model, "_DRAW_BYTES", nbytes):
         data = Dataset(samples=samples, spec=spec)
     rows = data.samples
+    assert rows.dtype == samples.dtype
     assert rows.tobytes() == np.ascontiguousarray(samples).tobytes()
-    want = float(np.mean(np.einsum("ij,ij->i", rows, rows)))
+    # float32 rows are squared and summed in float64; for float64 rows the
+    # dtype changes no bit (test_squared_norm_term_is_the_row_major_expression)
+    want = float(np.mean(np.einsum("ij,ij->i", rows, rows, dtype=np.float64)))
     assert data.mean_sq_norm.hex() == want.hex()
 
 
@@ -262,6 +288,18 @@ def test_dataset_validates_dimension():
     spec = ModelSpec.along_axis(1.0, 2)
     with pytest.raises(ValueError):
         Dataset(samples=np.zeros((5, 3)), spec=spec)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128, np.bool_])
+def test_dataset_rejects_samples_that_are_not_float32_or_float64(dtype):
+    # float16 and complex128 would run the kernel in their own precision and
+    # int64 and bool fail inside it; the dtype is named at construction
+    spec = ModelSpec.along_axis(1.0, 2)
+    rows = np.random.default_rng(3).standard_normal((1000, 2))
+    with pytest.raises(ValueError, match=f"float32 or float64, got {np.dtype(dtype)}"):
+        Dataset(samples=rows.astype(dtype), spec=spec)
+    for ok in (np.float32, np.float64):
+        assert Dataset(samples=rows.astype(ok), spec=spec).samples.dtype == ok
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -351,6 +389,26 @@ def test_log_likelihood_matches_naive_density_sum():
         + np.exp(-0.5 * np.sum((data.samples + theta) ** 2, axis=1))
     ) / (2 * math.pi)
     assert log_likelihood(data, theta) == pytest.approx(float(np.mean(np.log(dens))), abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+def test_float32_log_likelihood_is_the_float64_one_within_rounding(d, s):
+    # the same float32 samples held in float64: the logcosh terms differ by a
+    # few float32 roundings of |<theta, y>| + log 2 each, so by at most
+    # 4 eps32 (1 + |theta| sqrt(mean |y|^2)); the largest difference measured
+    # was 1.07 eps32 times that scale, over d in {1, 2, 3, 10}, s in
+    # {0, 0.5, 1, 2}, n from 2 to 1e6 and these thetas
+    eps = float(np.finfo(np.float32).eps)
+    spec = ModelSpec.along_axis(s, d)
+    low = sample_dataset(spec, 20_000, 41 + d, np.float32)
+    high = Dataset(samples=low.samples.astype(np.float64), spec=spec)
+    assert low.mean_sq_norm == high.mean_sq_norm
+    for theta in (np.zeros(d), np.full(d, 0.05), spec.theta_star + 0.1,
+                  np.linspace(-2.0, 3.0, d), np.full(d, 30.0)):
+        bound = 4 * eps * (1 + np.linalg.norm(theta) * math.sqrt(high.mean_sq_norm))
+        got, want = log_likelihood(low, theta), log_likelihood(high, theta)
+        assert abs(got - want) <= bound, (theta, got - want, bound)
 
 
 def test_log_likelihood_finite_for_huge_arguments():
