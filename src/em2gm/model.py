@@ -18,7 +18,10 @@ view of a read-only, C-contiguous (d, n) block, which the kernel walks in
 column blocks of 512 KiB at d = 1 and 1 MiB at d >= 2 (fewer columns for a
 stack of k > d thetas, so that the inner products fit too), set up once per EM
 run: each is projected, put through tanh and reduced while it sits in L2. The
-row-major (n, d) layout measured about twice as slow at d >= 2. Each block's
+row-major (n, d) layout measured about twice as slow at d >= 2. A pass that
+also sums logcosh(<theta, y_i>), as run_em's do, holds one scratch block more
+than an EM step and allocates nothing per block; log_likelihood's pass sums
+logcosh alone, with neither tanh nor reduction. Each block's
 reduction has the bits of np.matmul, and for one theta it releases the GIL,
 so sweep threads overlap their reductions: at d = 1 it is np.dot of the
 block's sample row, at d >= 2 a direct ctypes call of the cblas_?gemv that
@@ -321,6 +324,12 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
     # GIL. The projection of one theta at d >= 2 is a matrix-vector
     # np.matmul, which holds it for the whole product, so two sweep threads
     # take turns on it.
+    # f_n.logcosh_sum(theta) is the same pass with neither tanh nor reduction,
+    # the logcosh sum alone, for log_likelihood. A logcosh sum holds one
+    # scratch block beside the projections, made at its first pass: |z| goes
+    # there before tanh, and once the block is reduced logcosh's remaining
+    # operations (_logcosh_of_abs) run in the projection buffer, so each
+    # block's sum has the bits of np.sum(logcosh(z)) and no pass allocates.
     n, d = samples.shape
     if n == 0:
         raise ValueError("samples has no rows")
@@ -336,20 +345,43 @@ def _kernel(samples: np.ndarray, theta: np.ndarray):
         (samples[lo:lo + block] for lo in range(0, n, block)),
         _reductions(samples.T, block, buf, acc, part))]
     project = np.multiply if d == 1 else np.matmul
+    scratch = None
 
-    def f_n(theta: np.ndarray, with_logcosh: bool = False) -> tuple[np.ndarray, float | None]:
-        t, lc = theta[0] if flat else theta.T, 0.0 if with_logcosh else None
+    def run(theta: np.ndarray, em: bool, with_logcosh: bool) -> float:
+        # one pass: the EM sum into acc if em, and the logcosh sum returned
+        nonlocal scratch
+        t, lc = theta[0] if flat else theta.T, 0.0
+        if with_logcosh and scratch is None:
+            scratch = np.empty_like(buf)
         for i, (rows, z, reduce) in enumerate(blocks):
             project(rows, t, out=z)
             if with_logcosh:
-                lc += float(np.sum(logcosh(z)))
-            np.tanh(z, out=z)
-            reduce()
-            if i:
-                np.add(acc, part, out=acc)
-        return acc.T.copy(), lc
+                ax = np.abs(z, out=scratch[:z.shape[0]])
+            if em:
+                np.tanh(z, out=z)
+                reduce()
+                if i:
+                    np.add(acc, part, out=acc)
+            if with_logcosh:
+                lc += float(np.sum(_logcosh_of_abs(ax, z)))
+        return lc
 
+    def f_n(theta: np.ndarray, with_logcosh: bool = False) -> tuple[np.ndarray, float | None]:
+        lc = run(theta, True, with_logcosh)
+        return acc.T.copy(), lc if with_logcosh else None
+
+    f_n.logcosh_sum = lambda theta: run(theta, False, True)
     return f_n
+
+
+def _logcosh_of_abs(ax: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # logcosh(x) from ax = |x|: the operations of logcosh after its np.abs,
+    # in its order and dtype, into out, which may not overlap ax
+    np.multiply(-2.0, ax, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(ax, out, out=out)
+    return np.subtract(out, _LOG_2, out=out)
 
 
 def _block(d: int, k: int, itemsize: int) -> int:
@@ -483,8 +515,11 @@ def log_likelihood(data: Dataset, theta) -> float:
         -|y|^2/2 - (d/2) log(2 pi) - |theta|^2/2 + logcosh(<theta, y>).
 
     The logcosh terms are computed in the samples' dtype, at theta rounded to
-    it; |theta|^2 and the sums over the blocks are float64.
+    it; |theta|^2 and the sums over the blocks are float64. They come from
+    the kernel's logcosh-only pass (no tanh, no reduction), which holds the
+    projections and one scratch block, with the bits of run_em's
+    log-likelihood at the same theta.
     """
     theta = np.asarray(theta, dtype=np.float64)
     t = theta.astype(data.samples.dtype)
-    return _log_likelihood_from(data, theta, _kernel(data.samples, t)(t, True)[1])
+    return _log_likelihood_from(data, theta, _kernel(data.samples, t).logcosh_sum(t))

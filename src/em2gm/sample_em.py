@@ -346,16 +346,24 @@ def em_jacobian(data: Dataset, theta) -> np.ndarray:
 
     Symmetric PSD; at theta = 0 it is exactly the sample second-moment
     matrix. sech^2 is evaluated as (2 e^{-|x|} / (1 + e^{-2|x|}))^2, which
-    underflows gracefully instead of overflowing.
+    underflows gracefully instead of overflowing. The sum runs over the
+    kernel's column blocks of the samples (model._block at float64), one
+    (d, d) product each, added in block order from the first, so its
+    temporaries are a few blocks at any n, and n within one block gives the
+    bytes of the unblocked expression (y * w[:, None]).T @ y.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (data.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({data.d},)")
-    y = data.samples
     _one_blas_thread()
-    # at d = 1 an elementwise product, as in the kernel
-    x = np.abs(y[:, 0] * theta[0] if data.d == 1 else y @ theta)
-    e = np.exp(-x)
-    w = 2.0 * e / (1.0 + e * e)
-    w *= w
-    return (y * w[:, None]).T @ y / data.n
+    block = _block(data.d, 1, 8)
+    for lo in range(0, data.n, block):
+        y = data.samples[lo:lo + block]
+        # at d = 1 an elementwise product, as in the kernel
+        x = np.abs(y[:, 0] * theta[0] if data.d == 1 else y @ theta)
+        e = np.exp(-x)
+        w = 2.0 * e / (1.0 + e * e)
+        w *= w
+        part = (y * w[:, None]).T @ y
+        total = part if lo == 0 else total + part
+    return total / data.n

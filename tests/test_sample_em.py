@@ -238,6 +238,42 @@ def test_batch_map_and_jacobian_1d_match_matmul_bitwise():
         assert em_jacobian(data, theta).tobytes() == _em_jacobian_by_matmul(rows, theta).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_jacobian_sums_blocks_within_rounding_of_one_product(d, dtype):
+    # a sum over the kernel's blocks against the one product over all n
+    # stored rows: within one block the same bytes; over several, entry (i, j)
+    # within 1e-12 of sqrt(J_ii J_jj). Measured at most 77 eps64 times that
+    # over d in {1, 2, 3, 10}, s in {0, 1, 3} and n up to 3e5 rows, and 249
+    # eps64 (5.5e-14) at d = 1, n = 2e6 in float32.
+    block = model._block(d, 1, 8)
+    for n, s in ((block, 1.0), (3 * block + 17, 0.0), (3 * block + 17, 3.0)):
+        data = sample_dataset(ModelSpec.along_axis(s, d), n, n + d, dtype)
+        rng = np.random.default_rng(n)
+        for theta in (np.zeros(d), rng.normal(size=d), 30.0 * rng.normal(size=d)):
+            got, want = em_jacobian(data, theta), _em_jacobian_by_matmul(data.samples, theta)
+            if n <= block:
+                assert got.tobytes() == want.tobytes()
+            scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (n, theta)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_jacobian_holds_a_few_blocks_beside_the_samples(dtype):
+    # d = 10, n = 2e5 (15.3 MiB of float64 samples): measured 1.30 MiB in
+    # float64 and 2.30 MiB in float32 (the blocks cast to float64), against
+    # 19.8 and 35.1 MiB for the n x d temporaries of the one product
+    data = sample_dataset(ModelSpec.along_axis(1.0, 10), 200_000, 5, dtype)
+    em_jacobian(_data(d=10, n=100), np.ones(10))
+    tracemalloc.start()
+    try:
+        em_jacobian(data, np.full(10, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
+
+
 def test_iterate_em_float32_stays_close():
     data = _data(s=1.0, d=2, n=2000, seed=8)
     theta0 = np.array([1.0, 0.0])
@@ -766,11 +802,50 @@ def _check_kernel_bitwise(d, dtype, k, blocks, offset, scale, seed):
     got, got_logcosh = f_n(theta, with_logcosh=True)
     got = got / n
     assert got.tobytes() == want.tobytes() and got_logcosh == want_logcosh
+    assert f_n.logcosh_sum(theta) == want_logcosh
     # a later step on the same buffers neither changes the first result nor
     # carries anything over from it
     again = f_n(theta[::-1].copy())[0] / n
     assert again.tobytes() == _f_n_by_blocks(yt, theta[::-1].copy())[0].tobytes()
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 10])
+def test_kernel_logcosh_sums_match_blocked_reference_bitwise(d, dtype):
+    # both logcosh passes, the EM step's and log_likelihood's, against the
+    # reference's np.sum(logcosh(z)) per block; n on both sides of a block
+    # edge, theta = 0, and |<theta, y>| far beyond where exp(|z|) overflows
+    # (88.7 in float32, 709.8 in float64); the EM sum keeps its bytes with
+    # and without the logcosh sum, and the passes share the kernel's buffers
+    # in any order
+    block = _block(d, dtype)
+    for n in (1, block - 1, block, block + 1, 2 * block + 3):
+        yt = np.ascontiguousarray(
+            sample_dataset(ModelSpec.along_axis(1.0, d), n, n).samples.T, dtype=dtype)
+        f_n = model._kernel(yt.T, np.zeros(d, dtype))
+        rng = np.random.default_rng(n)
+        for theta in (np.zeros(d), rng.normal(size=d), 2000.0 * rng.normal(size=d)):
+            theta = theta.astype(dtype)
+            want, want_logcosh = _f_n_by_blocks(yt, theta)
+            assert f_n.logcosh_sum(theta) == want_logcosh, (n, theta)
+            total, logcosh_sum = f_n(theta, with_logcosh=True)
+            assert (total / n).tobytes() == want.tobytes() and logcosh_sum == want_logcosh
+            assert f_n(theta)[0].tobytes() == total.tobytes()
+            assert f_n.logcosh_sum(theta) == want_logcosh
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_log_likelihood_is_its_formula_on_the_blocked_reference_bitwise(d, dtype):
+    # the value log_likelihood took from the EM step's pass, which also ran
+    # tanh and the reduction: the same logcosh sum, so the same bits
+    data = sample_dataset(ModelSpec.along_axis(1.0, d), 2 * _block(d, dtype) + 5, 3, dtype)
+    yt = data.samples.T
+    for theta in (np.zeros(d), np.linspace(-1.5, 0.8, d), np.full(d, 300.0)):
+        want = model._log_likelihood_from(
+            data, theta, _f_n_by_blocks(yt, theta.astype(dtype))[1])
+        assert log_likelihood(data, theta) == want
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
